@@ -22,6 +22,7 @@
 #![deny(missing_docs)]
 
 use qra::circuit::qasm_parser::from_qasm;
+use qra::core::Candidates;
 use qra::faults::json::json_str;
 use qra::faults::{
     auto_margins, cell_record_json, is_sweep_partial, margin_record_json, parse_sweep_partial,
@@ -1161,19 +1162,20 @@ pub fn execute_with_cache(
         Command::Batch { socket, file } => batch_command(socket, file).map(|(out, _code)| out),
         Command::Cost { num_qubits, state } => {
             let spec = parse_state(state, *num_qubits)?;
+            // One basis completion and one plan serve all three designs.
+            let candidates = Candidates::new(&spec)?;
             let mut out = String::new();
             for design in [Design::Swap, Design::LogicalOr, Design::Ndd] {
-                match synthesize_assertion(&spec, design) {
-                    Ok(a) => {
-                        let _ = writeln!(out, "{design:12} {}", a.gate_counts());
+                match candidates.counts(design) {
+                    Ok(counts) => {
+                        let _ = writeln!(out, "{design:12} {counts}");
                     }
                     Err(e) => {
                         let _ = writeln!(out, "{design:12} unavailable: {e}");
                     }
                 }
             }
-            let auto = synthesize_assertion(&spec, Design::Auto)?;
-            let _ = writeln!(out, "auto picks:  {}", auto.design());
+            let _ = writeln!(out, "auto picks:  {}", candidates.cheapest()?);
             Ok(out)
         }
     }

@@ -7,22 +7,24 @@
 //! [`insert_assertion`] splices the assertion — ancillas, measurements and
 //! all — into an existing program circuit.
 
-use crate::logical_or::build_or_assertion;
-use crate::ndd::build_ndd_assertion;
+use crate::logical_or::{build_or_assertion, OrFlag};
+use crate::ndd::{build_ndd, build_ndd_assertion};
+use crate::plan::{AssertionPlan, StepGlue};
 use crate::spec::StateSpec;
-use crate::swap::{build_swap_assertion, BuiltAssertion};
+use crate::swap::{build_swap_assertion, BuiltAssertion, SwapPlacement};
 use crate::AssertionError;
 use qra_circuit::{Circuit, GateCounts};
 use qra_sim::Counts;
+use std::cell::OnceCell;
 use std::fmt;
 
 /// The assertion circuit design to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Design {
-    /// Synthesise all three designs and keep the one with the fewest
+    /// Cost all three designs and keep the one with the fewest
     /// entangling gates (the paper's `design = NONE`). CX-count ties
     /// resolve deterministically in the preference order
-    /// Ndd > LogicalOr > Swap.
+    /// Ndd > LogicalOr > Swap; see [`Candidates`].
     #[default]
     Auto,
     /// SWAP-based design (§IV): corrects the state on pass.
@@ -54,6 +56,16 @@ pub struct Assertion {
 }
 
 impl Assertion {
+    /// Wraps a built circuit, costing it with [`GateCounts::of`].
+    fn counted(built: BuiltAssertion, design: Design) -> Result<Assertion, AssertionError> {
+        let counts = GateCounts::of(&built.circuit)?.with_ancilla(built.num_ancilla);
+        Ok(Assertion {
+            built,
+            design,
+            counts,
+        })
+    }
+
     /// The design that was actually used (never [`Design::Auto`]).
     pub fn design(&self) -> Design {
         self.design
@@ -92,7 +104,156 @@ impl Assertion {
     }
 }
 
+/// The three designs [`Design::Auto`] chooses among, evaluated for one
+/// spec from one basis completion and at most one [`AssertionPlan`]. NDD
+/// is built outright, since its circuit is what it costs. SWAP and
+/// logical-OR are costed from the plan's parts (`U⁻¹`, `U` and each
+/// design's per-step glue) and only the design chosen is assembled.
+///
+/// ```rust
+/// use qra_core::{Candidates, Design, StateSpec};
+/// use qra_math::CVector;
+///
+/// let spec = StateSpec::set(vec![CVector::basis_state(4, 0), CVector::basis_state(4, 3)])?;
+/// let candidates = Candidates::new(&spec)?;
+/// assert_eq!(candidates.counts(Design::Ndd)?.cx, 2);
+/// assert!(candidates.counts(Design::Auto).is_err());
+/// assert_eq!(candidates.cheapest()?, Design::Ndd);
+/// let assertion = candidates.into_assertion()?;
+/// assert_eq!(assertion.design(), Design::Ndd);
+/// # Ok::<(), qra_core::AssertionError>(())
+/// ```
+#[derive(Debug)]
+pub struct Candidates {
+    num_test: usize,
+    plan: Result<AssertionPlan, AssertionError>,
+    ndd: Result<Assertion, AssertionError>,
+    logical_or: Result<GateCounts, AssertionError>,
+    swap: Result<GateCounts, AssertionError>,
+}
+
+impl Candidates {
+    /// Completes `spec`'s basis once, builds NDD and the shared plan, and
+    /// costs SWAP and logical-OR. A failure of one design is kept as that
+    /// design's result; only a spec that yields no correct states fails
+    /// here.
+    ///
+    /// # Errors
+    ///
+    /// Everything [`StateSpec::correct_states`] can return.
+    pub fn new(spec: &StateSpec) -> Result<Candidates, AssertionError> {
+        let cs = spec.correct_states()?;
+        let shared = OnceCell::new();
+        let ndd = build_ndd(&cs, &shared).and_then(|built| Assertion::counted(built, Design::Ndd));
+        let plan = shared
+            .into_inner()
+            .unwrap_or_else(|| AssertionPlan::build(&cs));
+        let costs = |plan: &AssertionPlan| -> Result<_, AssertionError> {
+            let parts = plan.part_counts()?;
+            Ok((
+                plan.predict_counts(&parts, &OrFlag::Recursive),
+                plan.predict_counts(&parts, &SwapPlacement::Optimized),
+            ))
+        };
+        let (logical_or, swap) = match plan.as_ref().map_err(Clone::clone).and_then(costs) {
+            Ok(pair) => pair,
+            Err(e) => (Err(e.clone()), Err(e)),
+        };
+        Ok(Candidates {
+            num_test: cs.num_qubits(),
+            plan,
+            ndd,
+            logical_or,
+            swap,
+        })
+    }
+
+    /// The gate counts of `design`'s circuit, or why that design cannot be
+    /// synthesised.
+    ///
+    /// # Errors
+    ///
+    /// The design's own synthesis failure, or
+    /// [`AssertionError::Unsupported`] for [`Design::Auto`], which has no
+    /// circuit of its own ([`Candidates::cheapest`] names the design it
+    /// picks).
+    pub fn counts(&self, design: Design) -> Result<GateCounts, AssertionError> {
+        match design {
+            Design::Ndd => self
+                .ndd
+                .as_ref()
+                .map(Assertion::gate_counts)
+                .map_err(Clone::clone),
+            Design::LogicalOr => self.logical_or.clone(),
+            Design::Swap => self.swap.clone(),
+            Design::Auto => Err(AssertionError::Unsupported {
+                scheme: "auto",
+                reason: "auto picks one of the three designs and has no counts of its own".into(),
+            }),
+        }
+    }
+
+    /// The paper's `design = NONE` rule: the design with the fewest
+    /// entangling gates. Candidates are tried in the fixed preference
+    /// order Ndd > LogicalOr > Swap and a later one wins only when
+    /// strictly cheaper, so CX-count ties resolve deterministically.
+    ///
+    /// # Errors
+    ///
+    /// [`AssertionError::AutoSelectionFailed`] with every candidate's
+    /// failure, in that order, when none can be synthesised.
+    pub fn cheapest(&self) -> Result<Design, AssertionError> {
+        let mut best: Option<(Design, usize)> = None;
+        let mut failures = Vec::new();
+        for d in [Design::Ndd, Design::LogicalOr, Design::Swap] {
+            match self.counts(d) {
+                Ok(c) => {
+                    if best.is_none_or(|(_, cx)| c.cx < cx) {
+                        best = Some((d, c.cx));
+                    }
+                }
+                Err(e) => failures.push((d, Box::new(e))),
+            }
+        }
+        best.map(|(d, _)| d)
+            .ok_or(AssertionError::AutoSelectionFailed { failures })
+    }
+
+    /// Synthesises the [`Candidates::cheapest`] design: NDD as built by
+    /// [`Candidates::new`], or SWAP or logical-OR assembled from the shared
+    /// plan with the predicted counts.
+    ///
+    /// # Errors
+    ///
+    /// [`Candidates::cheapest`]'s, or a failure to assemble the winner.
+    pub fn into_assertion(self) -> Result<Assertion, AssertionError> {
+        let design = self.cheapest()?;
+        let glue: &dyn StepGlue = match design {
+            Design::LogicalOr => &OrFlag::Recursive,
+            Design::Swap => &SwapPlacement::Optimized,
+            // NDD was built by `new`.
+            _ => return self.ndd,
+        };
+        let counts = self.counts(design)?;
+        let built = self.plan?.assemble(self.num_test, glue)?;
+        debug_assert_eq!(
+            GateCounts::of(&built.circuit)
+                .ok()
+                .map(|c| c.with_ancilla(built.num_ancilla)),
+            Some(counts),
+            "{design}: predicted counts differ from the assembled circuit's"
+        );
+        Ok(Assertion {
+            built,
+            design,
+            counts,
+        })
+    }
+}
+
 /// Synthesises an assertion circuit for `spec` with the requested design.
+/// [`Design::Auto`] goes through [`Candidates`], so only the chosen
+/// design's circuit is built.
 ///
 /// # Errors
 ///
@@ -110,45 +271,13 @@ impl Assertion {
 /// # Ok::<(), qra_core::AssertionError>(())
 /// ```
 pub fn synthesize_assertion(spec: &StateSpec, design: Design) -> Result<Assertion, AssertionError> {
-    let cs = spec.correct_states()?;
-    let build = |d: Design| -> Result<Assertion, AssertionError> {
-        let built = match d {
-            Design::Swap => build_swap_assertion(&cs)?,
-            Design::LogicalOr => build_or_assertion(&cs)?,
-            Design::Ndd => build_ndd_assertion(&cs)?,
-            Design::Auto => unreachable!("auto resolved by caller"),
-        };
-        let counts = GateCounts::of(&built.circuit)?.with_ancilla(built.num_ancilla);
-        Ok(Assertion {
-            built,
-            design: d,
-            counts,
-        })
+    let built = match design {
+        Design::Auto => return Candidates::new(spec)?.into_assertion(),
+        Design::Swap => build_swap_assertion(&spec.correct_states()?)?,
+        Design::LogicalOr => build_or_assertion(&spec.correct_states()?)?,
+        Design::Ndd => build_ndd_assertion(&spec.correct_states()?)?,
     };
-    match design {
-        Design::Auto => {
-            // Candidates in fixed preference order, so a CX-count tie
-            // resolves deterministically to Ndd > LogicalOr > Swap: a
-            // later candidate replaces the incumbent only when strictly
-            // cheaper in entangling gates.
-            let candidates = [Design::Ndd, Design::LogicalOr, Design::Swap];
-            let mut best: Option<Assertion> = None;
-            let mut failures = Vec::new();
-            for d in candidates {
-                match build(d) {
-                    Ok(a) => {
-                        let better = best.as_ref().is_none_or(|b| a.counts.cx < b.counts.cx);
-                        if better {
-                            best = Some(a);
-                        }
-                    }
-                    Err(e) => failures.push((d, Box::new(e))),
-                }
-            }
-            best.ok_or(AssertionError::AutoSelectionFailed { failures })
-        }
-        d => build(d),
-    }
+    Assertion::counted(built, design)
 }
 
 /// A handle returned by [`insert_assertion`], locating the assertion's

@@ -12,8 +12,9 @@
 //!   single ancilla, undo (§IV-E);
 //! * [`Design::Ndd`] — phase-kickback with `U = Σ_correct − Σ_incorrect`
 //!   (non-destructive discrimination, §V);
-//! * [`Design::Auto`] — synthesise all three and keep the cheapest in
-//!   entangling-gate count (the paper's `design = NONE`).
+//! * [`Design::Auto`] — cost all three and keep the cheapest in
+//!   entangling-gate count (the paper's `design = NONE`), building only
+//!   the one kept ([`Candidates`]).
 //!
 //! Assertions accept a [`StateSpec`]: a pure state vector, a mixed-state
 //! density matrix, or a *set* of states for approximate (Bloom-filter
@@ -59,7 +60,7 @@ pub mod swap;
 pub use analysis::AssertionReport;
 pub use assertion::{
     insert_assertion, insert_deallocation_assertion, synthesize_assertion, Assertion,
-    AssertionHandle, Design,
+    AssertionHandle, Candidates, Design,
 };
 pub use error::AssertionError;
 pub use spec::{CorrectStates, StateSpec};

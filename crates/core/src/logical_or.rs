@@ -7,11 +7,11 @@
 //! of how many qubits are checked. Unlike the SWAP design, the program
 //! state is *not* corrected when the assertion fails.
 
-use crate::plan::AssertionPlan;
+use crate::plan::{AssertionPlan, StepGlue};
 use crate::spec::CorrectStates;
 use crate::swap::BuiltAssertion;
 use crate::AssertionError;
-use qra_circuit::synthesis::mc_gate::{mcx, ControlState};
+use qra_circuit::synthesis::mc_gate::{mcx, mcx_v_chain, ControlState};
 use qra_circuit::Circuit;
 
 /// Builds the logical-OR based assertion circuit.
@@ -20,55 +20,7 @@ use qra_circuit::Circuit;
 ///
 /// Propagates plan/synthesis failures.
 pub fn build_or_assertion(cs: &CorrectStates) -> Result<BuiltAssertion, AssertionError> {
-    let plan = AssertionPlan::build(cs)?;
-    let k = cs.num_qubits();
-
-    let num_ancilla: usize = plan
-        .steps
-        .iter()
-        .map(|s| usize::from(s.has_extension) + 1)
-        .sum();
-    let num_clbits = plan.steps.len();
-
-    let mut circuit = Circuit::with_clbits(k + num_ancilla, num_clbits);
-    let mut next_ancilla = k;
-
-    for (step_idx, step) in plan.steps.iter().enumerate() {
-        let mut map: Vec<usize> = Vec::with_capacity(step.n_local);
-        if step.has_extension {
-            map.push(next_ancilla);
-            next_ancilla += 1;
-        }
-        map.extend(0..k);
-
-        let or_ancilla = next_ancilla;
-        next_ancilla += 1;
-
-        circuit.compose(&step.u_inv, &map, &[])?;
-        let checked: Vec<usize> = step.checked.iter().map(|&c| map[c]).collect();
-        if checked.len() == 1 {
-            // OR of one bit is the bit itself.
-            circuit.cx(checked[0], or_ancilla);
-        } else {
-            // Open-controlled MCX sets the ancilla when ALL checked qubits
-            // are |0⟩ (the pass condition); the trailing X inverts it so
-            // ancilla |1⟩ = assertion error.
-            let controls: Vec<(usize, ControlState)> =
-                checked.iter().map(|&q| (q, ControlState::Open)).collect();
-            mcx(&mut circuit, &controls, or_ancilla)?;
-            circuit.x(or_ancilla);
-        }
-        circuit.compose(&step.u, &map, &[])?;
-        circuit.measure(or_ancilla, step_idx)?;
-    }
-    debug_assert_eq!(next_ancilla, k + num_ancilla);
-
-    Ok(BuiltAssertion {
-        circuit,
-        num_test: k,
-        num_ancilla,
-        num_clbits,
-    })
+    AssertionPlan::build(cs)?.assemble(cs.num_qubits(), &OrFlag::Recursive)
 }
 
 /// Builds the logical-OR assertion with a **V-chain** multi-controlled-X:
@@ -82,64 +34,68 @@ pub fn build_or_assertion(cs: &CorrectStates) -> Result<BuiltAssertion, Assertio
 ///
 /// Propagates plan/synthesis failures.
 pub fn build_or_assertion_v_chain(cs: &CorrectStates) -> Result<BuiltAssertion, AssertionError> {
-    use qra_circuit::synthesis::mc_gate::mcx_v_chain;
-    let plan = AssertionPlan::build(cs)?;
-    let k = cs.num_qubits();
+    AssertionPlan::build(cs)?.assemble(cs.num_qubits(), &OrFlag::VChain)
+}
 
-    // Ancillas: per step, extension (0/1) + 1 OR flag + chain helpers.
-    let num_ancilla: usize = plan
-        .steps
-        .iter()
-        .map(|s| usize::from(s.has_extension) + 1 + s.checked.len().saturating_sub(2))
-        .sum();
-    let num_clbits = plan.steps.len();
+/// How the logical-OR design folds a step's checked qubits into its flag
+/// ancilla, the first of the step's ancillas and the only one measured.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum OrFlag {
+    /// Ancilla-free recursive multi-controlled X.
+    Recursive,
+    /// V-chain of Toffolis over `k − 2` clean helper ancillas.
+    VChain,
+}
 
-    let mut circuit = Circuit::with_clbits(k + num_ancilla, num_clbits);
-    let mut next_ancilla = k;
-
-    for (step_idx, step) in plan.steps.iter().enumerate() {
-        let mut map: Vec<usize> = Vec::with_capacity(step.n_local);
-        if step.has_extension {
-            map.push(next_ancilla);
-            next_ancilla += 1;
+impl StepGlue for OrFlag {
+    fn ancillas(&self, checked: usize) -> usize {
+        match self {
+            OrFlag::Recursive => 1,
+            OrFlag::VChain => 1 + checked.saturating_sub(2),
         }
-        map.extend(0..k);
-
-        let or_ancilla = next_ancilla;
-        next_ancilla += 1;
-        let helpers: Vec<usize> = {
-            let n_help = step.checked.len().saturating_sub(2);
-            let v = (next_ancilla..next_ancilla + n_help).collect();
-            next_ancilla += n_help;
-            v
-        };
-
-        circuit.compose(&step.u_inv, &map, &[])?;
-        let checked: Vec<usize> = step.checked.iter().map(|&c| map[c]).collect();
-        if checked.len() == 1 {
-            circuit.cx(checked[0], or_ancilla);
-        } else {
-            // Open controls: X-wrap the checked qubits around the V-chain.
-            for &q in &checked {
-                circuit.x(q);
-            }
-            mcx_v_chain(&mut circuit, &checked, or_ancilla, &helpers)?;
-            for &q in &checked {
-                circuit.x(q);
-            }
-            circuit.x(or_ancilla);
-        }
-        circuit.compose(&step.u, &map, &[])?;
-        circuit.measure(or_ancilla, step_idx)?;
     }
-    debug_assert_eq!(next_ancilla, k + num_ancilla);
 
-    Ok(BuiltAssertion {
-        circuit,
-        num_test: k,
-        num_ancilla,
-        num_clbits,
-    })
+    fn measured(&self, _checked: usize) -> usize {
+        1
+    }
+
+    fn emit(
+        &self,
+        circuit: &mut Circuit,
+        checked: &[usize],
+        ancillas: &[usize],
+    ) -> Result<(), AssertionError> {
+        let (&flag, helpers) = ancillas
+            .split_first()
+            .expect("the OR design allocates a flag ancilla per step");
+        if let [q] = checked {
+            // OR of one bit is the bit itself.
+            circuit.cx(*q, flag);
+            return Ok(());
+        }
+        // A multi-controlled X on open controls sets the flag when ALL
+        // checked qubits are |0⟩ (the pass condition); the trailing X
+        // inverts it so flag |1⟩ = assertion error.
+        match self {
+            OrFlag::Recursive => {
+                let controls: Vec<(usize, ControlState)> =
+                    checked.iter().map(|&q| (q, ControlState::Open)).collect();
+                mcx(circuit, &controls, flag)?;
+            }
+            OrFlag::VChain => {
+                // Open controls: X-wrap the checked qubits around the V-chain.
+                for &q in checked {
+                    circuit.x(q);
+                }
+                mcx_v_chain(circuit, checked, flag, helpers)?;
+                for &q in checked {
+                    circuit.x(q);
+                }
+            }
+        }
+        circuit.x(flag);
+        Ok(())
+    }
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@
 //! 3. general → `W† · ctrl-D · W` with `W` the basis change and `D` the
 //!    ±1 diagonal.
 
-use crate::plan::AssertionPlan;
+use crate::plan::{AssertionPlan, SharedPlan};
 use crate::spec::CorrectStates;
 use crate::swap::BuiltAssertion;
 use crate::AssertionError;
@@ -27,6 +27,7 @@ use qra_circuit::synthesis::diagonal::{
 use qra_circuit::synthesis::mc_gate::{mc_unitary, Control, ControlState};
 use qra_circuit::synthesis::unitary_circuit;
 use qra_circuit::{Circuit, Gate};
+use std::cell::OnceCell;
 
 const TOL: f64 = 1e-9;
 
@@ -36,11 +37,21 @@ const TOL: f64 = 1e-9;
 ///
 /// Propagates synthesis failures.
 pub fn build_ndd_assertion(cs: &CorrectStates) -> Result<BuiltAssertion, AssertionError> {
+    build_ndd(cs, &OnceCell::new())
+}
+
+/// [`build_ndd_assertion`] taking strategy 3's plan from `plan`, which is
+/// filled on first use, so `Design::Auto` builds one plan for NDD, SWAP
+/// and logical-OR.
+pub(crate) fn build_ndd(
+    cs: &CorrectStates,
+    plan: &SharedPlan,
+) -> Result<BuiltAssertion, AssertionError> {
     let k = cs.num_qubits();
     let anc = k; // single ancilla after the test qubits
     let mut circuit = Circuit::with_clbits(k + 1, 1);
     circuit.h(anc);
-    append_controlled_u(&mut circuit, cs, anc)?;
+    append_controlled_u(&mut circuit, cs, anc, plan)?;
     circuit.h(anc);
     circuit.measure(anc, 0)?;
     Ok(BuiltAssertion {
@@ -56,6 +67,7 @@ fn append_controlled_u(
     circuit: &mut Circuit,
     cs: &CorrectStates,
     anc: usize,
+    plan: &SharedPlan,
 ) -> Result<(), AssertionError> {
     let k = cs.num_qubits();
     let u = cs.ndd_unitary();
@@ -83,7 +95,7 @@ fn append_controlled_u(
     // subspace, and ctrl-D factors into Z(anc) and ONE multi-controlled Z
     // firing when anc = 1 and all checked qubits read 0 — far cheaper than
     // a general basis-change synthesis.
-    if let Ok(plan) = AssertionPlan::build(cs) {
+    if let Ok(plan) = plan.get_or_init(|| AssertionPlan::build(cs)) {
         if plan.steps.len() == 1 && !plan.steps[0].has_extension {
             let step = &plan.steps[0];
             let test_map: Vec<usize> = (0..k).collect();

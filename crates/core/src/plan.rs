@@ -17,11 +17,17 @@
 //! subspaces of computational basis states (GHZ-style parity sets) and
 //! synthesises `U` as a CNOT/X network, reproducing the paper's hand
 //! costs (e.g. 2-CX `U` for the GHZ approximate set `{|000⟩, |111⟩}`).
+//!
+//! The designs differ only in the glue (`StepGlue`) placed between each
+//! step's `U⁻¹` and `U`. `AssertionPlan::assemble` builds a design's
+//! circuit from it, and `AssertionPlan::predict_counts` costs the same
+//! design from the plan's parts without building it.
 
 use crate::spec::CorrectStates;
+use crate::swap::BuiltAssertion;
 use crate::AssertionError;
 use qra_circuit::synthesis::{prepare_state, unitary_circuit};
-use qra_circuit::Circuit;
+use qra_circuit::{Circuit, GateCounts};
 use qra_math::{CMatrix, CVector, C64};
 
 const TOL: f64 = 1e-9;
@@ -43,6 +49,10 @@ pub struct SingleStep {
     /// `U⁻¹` as a circuit over the local qubits.
     pub u_inv: Circuit,
 }
+
+/// A plan built at most once, on first use, and shared by every design
+/// that needs it; a failed build is shared too.
+pub(crate) type SharedPlan = std::cell::OnceCell<Result<AssertionPlan, AssertionError>>;
 
 /// The full plan: one or two [`SingleStep`]s (two for the superset-pair
 /// rank case).
@@ -114,11 +124,122 @@ impl AssertionPlan {
         })
     }
 
-    /// Total count of checked qubits across steps (equals the number of
-    /// measurement ancillas the SWAP design needs).
-    pub fn checked_qubits(&self) -> usize {
-        self.steps.iter().map(|s| s.checked.len()).sum()
+    /// Ancillas of the design with per-step `glue`: each step's extension
+    /// ancilla, if it has one, plus the glue's own.
+    fn num_ancillas(&self, glue: &dyn StepGlue) -> usize {
+        self.steps
+            .iter()
+            .map(|s| usize::from(s.has_extension) + glue.ancillas(s.checked.len()))
+            .sum()
     }
+
+    /// Assembles the design with per-step `glue` over `k` test qubits: each
+    /// step emits `U⁻¹`, the glue, `U`, then measures the glue's measured
+    /// ancillas. Ancillas follow the test qubits in step order, a step's
+    /// extension ancilla before its glue ancillas.
+    pub(crate) fn assemble(
+        &self,
+        k: usize,
+        glue: &dyn StepGlue,
+    ) -> Result<BuiltAssertion, AssertionError> {
+        let num_ancilla = self.num_ancillas(glue);
+        let num_clbits: usize = self
+            .steps
+            .iter()
+            .map(|s| glue.measured(s.checked.len()))
+            .sum();
+
+        let mut circuit = Circuit::with_clbits(k + num_ancilla, num_clbits);
+        let mut next_ancilla = k;
+        let mut next_clbit = 0;
+
+        for step in &self.steps {
+            // Map the step's local qubits onto the assertion circuit: local
+            // 0 is the extension ancilla when present, then the test qubits.
+            let mut map: Vec<usize> = Vec::with_capacity(step.n_local);
+            if step.has_extension {
+                map.push(next_ancilla);
+                next_ancilla += 1;
+            }
+            map.extend(0..k);
+            debug_assert_eq!(map.len(), step.n_local);
+            let n_glue = glue.ancillas(step.checked.len());
+            let ancillas: Vec<usize> = (next_ancilla..next_ancilla + n_glue).collect();
+            next_ancilla += n_glue;
+            let checked: Vec<usize> = step.checked.iter().map(|&c| map[c]).collect();
+
+            circuit.compose(&step.u_inv, &map, &[])?;
+            glue.emit(&mut circuit, &checked, &ancillas)?;
+            circuit.compose(&step.u, &map, &[])?;
+            for &a in &ancillas[..glue.measured(checked.len())] {
+                circuit.measure(a, next_clbit)?;
+                next_clbit += 1;
+            }
+        }
+        debug_assert_eq!(next_ancilla, k + num_ancilla);
+        debug_assert_eq!(next_clbit, num_clbits);
+
+        Ok(BuiltAssertion {
+            circuit,
+            num_test: k,
+            num_ancilla,
+            num_clbits,
+        })
+    }
+
+    /// Per-step counts of `U⁻¹` and `U` together: the part of every §IV
+    /// design's cost that does not depend on its glue.
+    pub(crate) fn part_counts(&self) -> Result<Vec<GateCounts>, AssertionError> {
+        self.steps
+            .iter()
+            .map(|s| Ok(GateCounts::of(&s.u_inv)? + GateCounts::of(&s.u)?))
+            .collect()
+    }
+
+    /// The counts [`AssertionPlan::assemble`] with `glue` would report,
+    /// from the per-step [`AssertionPlan::part_counts`] and the glue alone,
+    /// which is emitted on its own small circuit. `GateCounts::of` is a sum
+    /// over instructions and the glue's cost does not depend on which
+    /// qubits it acts on, so the prediction is exact.
+    pub(crate) fn predict_counts(
+        &self,
+        parts: &[GateCounts],
+        glue: &dyn StepGlue,
+    ) -> Result<GateCounts, AssertionError> {
+        let mut total = GateCounts::default();
+        for (step, &part) in self.steps.iter().zip(parts) {
+            let c = step.checked.len();
+            let a = glue.ancillas(c);
+            let mut local = Circuit::new(c + a);
+            let checked: Vec<usize> = (0..c).collect();
+            let ancillas: Vec<usize> = (c..c + a).collect();
+            glue.emit(&mut local, &checked, &ancillas)?;
+            total = total + part + GateCounts::of(&local)?;
+            total.measure += glue.measured(c);
+        }
+        Ok(total.with_ancilla(self.num_ancillas(glue)))
+    }
+}
+
+/// What a §IV design places between a step's `U⁻¹` and `U`. One value
+/// emits the gates both into the assembled circuit and into the small
+/// circuit its cost is read from, so a design's predicted and built
+/// counts cannot drift apart.
+pub(crate) trait StepGlue {
+    /// Fresh ancillas a step with `checked` checked qubits needs, besides
+    /// its extension ancilla.
+    fn ancillas(&self, checked: usize) -> usize;
+    /// How many of those ancillas, the leading ones, are measured after
+    /// `U`.
+    fn measured(&self, checked: usize) -> usize;
+    /// Emits the glue on the step's `checked` qubits (already mapped onto
+    /// the circuit) and its fresh `ancillas`.
+    fn emit(
+        &self,
+        circuit: &mut Circuit,
+        checked: &[usize],
+        ancillas: &[usize],
+    ) -> Result<(), AssertionError>;
 }
 
 /// `t = 1`: prepare-state synthesis, all qubits checked.
@@ -787,7 +908,6 @@ mod tests {
         let plan = AssertionPlan::build(&cs).unwrap();
         assert_eq!(plan.steps.len(), 1);
         assert_eq!(plan.steps[0].checked.len(), 1);
-        assert_eq!(plan.checked_qubits(), 1);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! asserted state — the property §IV-E contrasts with the logical-OR
 //! design.
 
-use crate::plan::AssertionPlan;
+use crate::plan::{AssertionPlan, StepGlue};
 use crate::spec::CorrectStates;
 use crate::AssertionError;
 use qra_circuit::Circuit;
@@ -37,57 +37,7 @@ pub struct BuiltAssertion {
 ///
 /// Propagates plan/synthesis failures.
 pub fn build_swap_assertion(cs: &CorrectStates) -> Result<BuiltAssertion, AssertionError> {
-    let plan = AssertionPlan::build(cs)?;
-    let k = cs.num_qubits();
-
-    // Ancilla budget: per step, extension (0/1) + one per checked qubit.
-    let num_ancilla: usize = plan
-        .steps
-        .iter()
-        .map(|s| usize::from(s.has_extension) + s.checked.len())
-        .sum();
-    let num_clbits = plan.checked_qubits();
-
-    let mut circuit = Circuit::with_clbits(k + num_ancilla, num_clbits);
-    let mut next_ancilla = k;
-    let mut next_clbit = 0;
-
-    for step in &plan.steps {
-        // Map the step's local qubits onto the assertion circuit: local 0 is
-        // the extension ancilla when present, then the test qubits.
-        let mut map: Vec<usize> = Vec::with_capacity(step.n_local);
-        if step.has_extension {
-            map.push(next_ancilla);
-            next_ancilla += 1;
-        }
-        map.extend(0..k);
-        debug_assert_eq!(map.len(), step.n_local);
-
-        circuit.compose(&step.u_inv, &map, &[])?;
-        // Optimised SWAP with a |0⟩ ancilla: CX(q→a), CX(a→q).
-        let mut swapped: Vec<(usize, usize)> = Vec::new();
-        for &local in &step.checked {
-            let q = map[local];
-            let a = next_ancilla;
-            next_ancilla += 1;
-            circuit.cx(q, a).cx(a, q);
-            swapped.push((q, a));
-        }
-        circuit.compose(&step.u, &map, &[])?;
-        for (_, a) in swapped {
-            circuit.measure(a, next_clbit)?;
-            next_clbit += 1;
-        }
-    }
-    debug_assert_eq!(next_ancilla, k + num_ancilla);
-    debug_assert_eq!(next_clbit, num_clbits);
-
-    Ok(BuiltAssertion {
-        circuit,
-        num_test: k,
-        num_ancilla,
-        num_clbits,
-    })
+    build_swap_assertion_with_placement(cs, SwapPlacement::Optimized)
 }
 
 /// How the checked qubits are swapped with their ancillas.
@@ -112,56 +62,35 @@ pub fn build_swap_assertion_with_placement(
     cs: &CorrectStates,
     placement: SwapPlacement,
 ) -> Result<BuiltAssertion, AssertionError> {
-    let plan = AssertionPlan::build(cs)?;
-    let k = cs.num_qubits();
-    let num_ancilla: usize = plan
-        .steps
-        .iter()
-        .map(|s| usize::from(s.has_extension) + s.checked.len())
-        .sum();
-    let num_clbits = plan.checked_qubits();
+    AssertionPlan::build(cs)?.assemble(cs.num_qubits(), &placement)
+}
 
-    let mut circuit = Circuit::with_clbits(k + num_ancilla, num_clbits);
-    let mut next_ancilla = k;
-    let mut next_clbit = 0;
-
-    for step in &plan.steps {
-        let mut map: Vec<usize> = Vec::with_capacity(step.n_local);
-        if step.has_extension {
-            map.push(next_ancilla);
-            next_ancilla += 1;
-        }
-        map.extend(0..k);
-
-        circuit.compose(&step.u_inv, &map, &[])?;
-        let mut swapped: Vec<usize> = Vec::new();
-        for &local in &step.checked {
-            let q = map[local];
-            let a = next_ancilla;
-            next_ancilla += 1;
-            match placement {
-                SwapPlacement::Optimized => {
-                    circuit.cx(q, a).cx(a, q);
-                }
-                SwapPlacement::FullSwap => {
-                    circuit.swap(q, a);
-                }
-            }
-            swapped.push(a);
-        }
-        circuit.compose(&step.u, &map, &[])?;
-        for a in swapped {
-            circuit.measure(a, next_clbit)?;
-            next_clbit += 1;
-        }
+/// The SWAP design's glue: every checked qubit swaps out to its own fresh
+/// `|0⟩` ancilla, which is then measured.
+impl StepGlue for SwapPlacement {
+    fn ancillas(&self, checked: usize) -> usize {
+        checked
     }
 
-    Ok(BuiltAssertion {
-        circuit,
-        num_test: k,
-        num_ancilla,
-        num_clbits,
-    })
+    fn measured(&self, checked: usize) -> usize {
+        checked
+    }
+
+    fn emit(
+        &self,
+        circuit: &mut Circuit,
+        checked: &[usize],
+        ancillas: &[usize],
+    ) -> Result<(), AssertionError> {
+        for (&q, &a) in checked.iter().zip(ancillas) {
+            match self {
+                // Optimised SWAP with a |0⟩ ancilla: CX(q→a), CX(a→q).
+                SwapPlacement::Optimized => circuit.cx(q, a).cx(a, q),
+                SwapPlacement::FullSwap => circuit.swap(q, a),
+            };
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]

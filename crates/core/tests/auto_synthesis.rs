@@ -1,0 +1,282 @@
+//! Differential tests for plan-once, winner-only `Design::Auto`.
+//!
+//! `Candidates` builds one `AssertionPlan`, costs SWAP and logical-OR from
+//! its parts and assembles only the design it picks. Over a spec corpus
+//! that covers every §IV-C rank case and every plan fast path, this checks
+//! that the predicted counts equal `GateCounts::of` of the circuits the
+//! public builders return, and that `Design::Auto` returns the same design
+//! and the same circuit, instruction for instruction, as building all
+//! three candidates and keeping the cheapest (the loop `Design::Auto` ran
+//! before, re-implemented here from the public builders).
+
+use qra_circuit::GateCounts;
+use qra_core::logical_or::build_or_assertion;
+use qra_core::ndd::build_ndd_assertion;
+use qra_core::plan::AssertionPlan;
+use qra_core::swap::{build_swap_assertion, BuiltAssertion};
+use qra_core::{
+    synthesize_assertion, AssertionError, Candidates, CorrectStates, Design, StateSpec,
+};
+use qra_math::{CMatrix, CVector, C64};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+fn basis_set(n: usize, idx: &[usize]) -> StateSpec {
+    StateSpec::set(
+        idx.iter()
+            .map(|&i| CVector::basis_state(1 << n, i))
+            .collect(),
+    )
+    .unwrap()
+}
+
+fn random_state(rng: &mut StdRng, dim: usize) -> CVector {
+    CVector::new(
+        (0..dim)
+            .map(|_| C64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
+            .collect(),
+    )
+    .normalized()
+    .unwrap()
+}
+
+fn random_set(rng: &mut StdRng, n: usize, t: usize) -> StateSpec {
+    StateSpec::set((0..t).map(|_| random_state(rng, 1 << n)).collect()).unwrap()
+}
+
+fn mixed(weighted: &[(f64, CVector)]) -> StateSpec {
+    let dim = weighted[0].1.len();
+    let mut rho = CMatrix::zeros(dim, dim);
+    for (p, v) in weighted {
+        rho = rho.add(&CMatrix::outer(v, v).scale(C64::from(*p))).unwrap();
+    }
+    StateSpec::mixed(rho).unwrap()
+}
+
+/// `(name, spec, checked qubits per plan step, extension ancilla)`. The
+/// step count and extension flag pin the §IV-C rank case; the checked
+/// qubits tell a fast path from the general one, which checks the leading
+/// qubits.
+#[allow(clippy::type_complexity)]
+fn corpus() -> Vec<(&'static str, StateSpec, Vec<Vec<usize>>, bool)> {
+    let mut rng = StdRng::seed_from_u64(0x5eed);
+    let s = 0.5f64.sqrt();
+    let ghz = |n: usize| {
+        let mut v = CVector::zeros(1 << n);
+        v[0] = C64::from(s);
+        v[(1 << n) - 1] = C64::from(s);
+        StateSpec::pure(v).unwrap()
+    };
+    let plus = CVector::from_real(&[s, s]);
+    let e = |i: usize| CVector::basis_state(2, i);
+    let theta = random_state(&mut rng, 4);
+    vec![
+        // t = 1: state preparation, every qubit checked.
+        ("pure |0>", basis_set(1, &[0]), vec![vec![0]], false),
+        (
+            "pure |+>",
+            StateSpec::pure(plus.clone()).unwrap(),
+            vec![vec![0]],
+            false,
+        ),
+        ("pure ghz3", ghz(3), vec![vec![0, 1, 2]], false),
+        ("pure ghz4", ghz(4), vec![vec![0, 1, 2, 3]], false),
+        (
+            "pure random n=3",
+            StateSpec::pure(random_state(&mut rng, 8)).unwrap(),
+            vec![vec![0, 1, 2]],
+            false,
+        ),
+        // Product projector: I ⊗ |0><0| and I ⊗ |++><++| (Fig. 20 shape)
+        // check only their rank-1 qubits.
+        ("product I⊗|0>", basis_set(2, &[0, 2]), vec![vec![1]], false),
+        (
+            "product I⊗|++>",
+            StateSpec::set(vec![
+                e(0).kron(&plus).kron(&plus),
+                e(1).kron(&plus).kron(&plus),
+            ])
+            .unwrap(),
+            vec![vec![1, 2]],
+            false,
+        ),
+        // Selector-multiplexed t = 2: the states live in opposite slices
+        // of qubit 0, which goes unchecked (the QPE slot-5 shape, §IX-A3).
+        (
+            "selector {000,111}",
+            basis_set(3, &[0, 7]),
+            vec![vec![1, 2]],
+            false,
+        ),
+        (
+            "selector {|0>|++>, |1>|θ>}",
+            mixed(&[
+                (0.6, e(0).kron(&plus).kron(&plus)),
+                (0.4, e(1).kron(&theta)),
+            ]),
+            vec![vec![1, 2]],
+            false,
+        ),
+        // Linear coset t = 2^m: affine subspaces of basis states, with
+        // checked qubits chosen by the CNOT network's pivots.
+        (
+            "coset even parity n=3",
+            basis_set(3, &[0, 3, 5, 6]),
+            vec![vec![2]],
+            false,
+        ),
+        (
+            "coset n=4",
+            basis_set(4, &[0, 5, 10, 15]),
+            vec![vec![2, 3]],
+            false,
+        ),
+        // General t = 2^m: basis change from the completed basis.
+        (
+            "general t=2 n=3",
+            random_set(&mut rng, 3, 2),
+            vec![vec![0, 1]],
+            false,
+        ),
+        (
+            "general t=4 n=3",
+            random_set(&mut rng, 3, 4),
+            vec![vec![0]],
+            false,
+        ),
+        // Superset pair: 2^m < t < 2^(m+1) ≤ 2^(n-1).
+        (
+            "superset {0,3,5}",
+            basis_set(3, &[0, 3, 5]),
+            vec![vec![0], vec![0]],
+            false,
+        ),
+        (
+            "superset t=3 n=4",
+            basis_set(4, &[1, 2, 4]),
+            vec![vec![0, 1], vec![0, 1]],
+            false,
+        ),
+        (
+            "superset random t=3 n=3",
+            random_set(&mut rng, 3, 3),
+            vec![vec![0], vec![0]],
+            false,
+        ),
+        // Extension ancilla: t > 2^(n-1); local qubit 0 is the ancilla.
+        (
+            "extension {0,1,2}",
+            basis_set(2, &[0, 1, 2]),
+            vec![vec![0]],
+            true,
+        ),
+        (
+            "extension {0..4}",
+            basis_set(3, &[0, 1, 2, 3, 4]),
+            vec![vec![0]],
+            true,
+        ),
+        (
+            "extension random t=3 n=2",
+            random_set(&mut rng, 2, 3),
+            vec![vec![0]],
+            true,
+        ),
+    ]
+}
+
+fn counted(built: &BuiltAssertion) -> GateCounts {
+    GateCounts::of(&built.circuit)
+        .unwrap()
+        .with_ancilla(built.num_ancilla)
+}
+
+/// The build-all-three loop: candidates in preference order, a later one
+/// replacing the incumbent only when strictly cheaper in CX.
+fn build_all_three(cs: &CorrectStates) -> Result<(Design, BuiltAssertion), AssertionError> {
+    let mut best: Option<(Design, BuiltAssertion, usize)> = None;
+    let mut failures = Vec::new();
+    for d in [Design::Ndd, Design::LogicalOr, Design::Swap] {
+        let built = match d {
+            Design::Ndd => build_ndd_assertion(cs),
+            Design::LogicalOr => build_or_assertion(cs),
+            _ => build_swap_assertion(cs),
+        };
+        match built {
+            Ok(b) => {
+                let cx = counted(&b).cx;
+                if best.as_ref().is_none_or(|(_, _, best_cx)| cx < *best_cx) {
+                    best = Some((d, b, cx));
+                }
+            }
+            Err(e) => failures.push((d, Box::new(e))),
+        }
+    }
+    best.map(|(d, b, _)| (d, b))
+        .ok_or(AssertionError::AutoSelectionFailed { failures })
+}
+
+#[test]
+fn corpus_covers_every_rank_case_and_fast_path() {
+    for (name, spec, checked, extension) in corpus() {
+        let plan = AssertionPlan::build(&spec.correct_states().unwrap()).unwrap();
+        let got: Vec<Vec<usize>> = plan.steps.iter().map(|s| s.checked.clone()).collect();
+        assert_eq!(got, checked, "{name}: checked qubits per step");
+        assert!(
+            plan.steps.iter().all(|s| s.has_extension == extension),
+            "{name}: extension ancilla"
+        );
+    }
+}
+
+#[test]
+fn predicted_counts_equal_the_built_circuits() {
+    for (name, spec, _, _) in corpus() {
+        let cs = spec.correct_states().unwrap();
+        let candidates = Candidates::new(&spec).unwrap();
+        let built = [
+            (Design::Swap, build_swap_assertion(&cs).unwrap()),
+            (Design::LogicalOr, build_or_assertion(&cs).unwrap()),
+            (Design::Ndd, build_ndd_assertion(&cs).unwrap()),
+        ];
+        for (design, b) in built {
+            assert_eq!(
+                candidates.counts(design).unwrap(),
+                counted(&b),
+                "{name}: {design} counts"
+            );
+        }
+    }
+}
+
+#[test]
+fn auto_matches_building_all_three() {
+    for (name, spec, _, _) in corpus() {
+        let (design, expected) = build_all_three(&spec.correct_states().unwrap()).unwrap();
+        let auto = synthesize_assertion(&spec, Design::Auto).unwrap();
+        assert_eq!(auto.design(), design, "{name}: design");
+        assert_eq!(auto.circuit(), &expected.circuit, "{name}: circuit");
+        assert_eq!(auto.gate_counts(), counted(&expected), "{name}: counts");
+        assert_eq!(auto.num_test_qubits(), expected.num_test, "{name}");
+        assert_eq!(auto.num_ancillas(), expected.num_ancilla, "{name}");
+        assert_eq!(auto.num_clbits(), expected.num_clbits, "{name}");
+        assert_eq!(
+            Candidates::new(&spec).unwrap().cheapest().unwrap(),
+            design,
+            "{name}: cheapest"
+        );
+    }
+}
+
+#[test]
+fn full_rank_specs_fail_before_any_candidate() {
+    let full = basis_set(1, &[0, 1]);
+    assert!(matches!(
+        Candidates::new(&full),
+        Err(AssertionError::Unassertable { num_qubits: 1 })
+    ));
+    assert!(matches!(
+        synthesize_assertion(&full, Design::Auto),
+        Err(AssertionError::Unassertable { num_qubits: 1 })
+    ));
+}

@@ -336,7 +336,12 @@ impl CampaignConfig {
     /// core count. A failed core-count query degrades auto knobs to one
     /// worker and sets [`ThreadPlan::fallback`].
     pub fn thread_plan(&self) -> ThreadPlan {
-        let (cores, query_failed) = resolve_threads(0);
+        // Only an auto knob needs the core count.
+        let (cores, fallback) = if self.jobs == 0 || self.sim_threads == 0 {
+            resolve_threads(0)
+        } else {
+            (1, false)
+        };
         let jobs = if self.jobs == 0 { cores } else { self.jobs };
         let sim_threads = if self.sim_threads == 0 {
             (cores / jobs).max(1)
@@ -346,7 +351,7 @@ impl CampaignConfig {
         ThreadPlan {
             jobs,
             sim_threads,
-            fallback: query_failed && (self.jobs == 0 || self.sim_threads == 0),
+            fallback,
         }
     }
 }

@@ -51,8 +51,7 @@ pub fn orthonormalize(vectors: &[CVector]) -> Result<Vec<CVector>, MathError> {
         // Two rounds of projection for numerical stability (re-orthogonalisation).
         for _ in 0..2 {
             for b in &basis {
-                let overlap = b.inner(&residual)?;
-                residual = residual.sub(&b.scale(overlap));
+                project_out(b, &mut residual)?;
             }
         }
         let norm = residual.norm();
@@ -102,28 +101,37 @@ pub fn complete_basis(seeds: &[CVector], dim: usize) -> Result<Vec<CVector>, Mat
     let mut basis = orthonormalize(seeds)?;
     // Greedily add the computational basis vector with the largest residual
     // until the basis is complete; this keeps the completion well-conditioned.
+    //
+    // `residuals[k]` is |k⟩ projected, in order, against `basis[..projected]`.
+    // Each round extends it by the vectors accepted since the last round
+    // only, so every residual goes through the same floating-point
+    // operations, in the same order, as a fresh projection of |k⟩ against
+    // the whole basis: the result is bit-identical at O(d) work per
+    // candidate and round instead of O(d·|basis|).
+    let mut residuals: Vec<CVector> = (0..dim).map(|k| CVector::basis_state(dim, k)).collect();
+    let mut projected = 0;
     while basis.len() < dim {
-        let mut best: Option<(f64, CVector)> = None;
-        for k in 0..dim {
-            let e = CVector::basis_state(dim, k);
-            let mut residual = e.clone();
-            for b in &basis {
-                let overlap = b.inner(&residual)?;
-                residual = residual.sub(&b.scale(overlap));
-            }
-            let norm = residual.norm();
-            if best.as_ref().is_none_or(|(bn, _)| norm > *bn) {
-                best = Some((norm, residual));
+        for b in &basis[projected..] {
+            for residual in &mut residuals {
+                project_out(b, residual)?;
             }
         }
-        let (norm, mut residual) = best.ok_or(MathError::LinearlyDependent)?;
+        projected = basis.len();
+        let mut best: Option<(f64, usize)> = None;
+        for (k, residual) in residuals.iter().enumerate() {
+            let norm = residual.norm();
+            if best.is_none_or(|(bn, _)| norm > bn) {
+                best = Some((norm, k));
+            }
+        }
+        let (norm, k) = best.ok_or(MathError::LinearlyDependent)?;
         if norm <= DEPENDENCE_TOL {
             return Err(MathError::LinearlyDependent);
         }
         // Re-orthogonalise once more for stability, then normalise.
+        let mut residual = residuals[k].clone();
         for b in &basis {
-            let overlap = b.inner(&residual)?;
-            residual = residual.sub(&b.scale(overlap));
+            project_out(b, &mut residual)?;
         }
         let n2 = residual.norm();
         if n2 <= DEPENDENCE_TOL {
@@ -132,6 +140,16 @@ pub fn complete_basis(seeds: &[CVector], dim: usize) -> Result<Vec<CVector>, Mat
         basis.push(residual.scale(C64::from(1.0 / n2)));
     }
     Ok(basis)
+}
+
+/// `residual ← residual − ⟨b|residual⟩·b`, in place, with the same
+/// operations in the same order as `residual.sub(&b.scale(b.inner(residual)?))`.
+fn project_out(b: &CVector, residual: &mut CVector) -> Result<(), MathError> {
+    let overlap = b.inner(residual)?;
+    for (r, x) in residual.as_mut_slice().iter_mut().zip(b.iter()) {
+        *r -= *x * overlap;
+    }
+    Ok(())
 }
 
 /// Verifies that `basis` is orthonormal within `tol`.

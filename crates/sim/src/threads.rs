@@ -8,18 +8,21 @@
 //! including the case where the runtime query itself fails, which callers
 //! must be able to surface instead of silently degrading to one thread.
 
+use std::sync::OnceLock;
+
 /// Resolves a configured thread count: `0` means one worker per available
 /// core. Returns the resolved count and whether the core-count query
 /// failed (in which case the count degrades to 1 and the caller should
-/// surface the degradation to the user).
+/// surface the degradation to the user). The core count is queried once
+/// per process, on the first `0`, and remembered.
 pub fn resolve_threads(threads: usize) -> (usize, bool) {
-    if threads == 0 {
-        match std::thread::available_parallelism() {
-            Ok(n) => (n.get(), false),
-            Err(_) => (1, true),
-        }
-    } else {
-        (threads, false)
+    static CORES: OnceLock<Option<usize>> = OnceLock::new();
+    if threads != 0 {
+        return (threads, false);
+    }
+    match CORES.get_or_init(|| std::thread::available_parallelism().ok().map(|n| n.get())) {
+        Some(n) => (*n, false),
+        None => (1, true),
     }
 }
 
