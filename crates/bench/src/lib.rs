@@ -2,10 +2,7 @@
 //!
 //! Each binary under `src/bin/` regenerates one table or figure of the
 //! paper's evaluation; this library provides the row formatting and the
-//! paper-vs-measured comparison printing used by all of them, plus
-//! [`micro`], a dependency-free micro-benchmark harness backing the
-//! `benches/` targets (the build environment has no registry access, so
-//! criterion is not available).
+//! paper-vs-measured comparison printing used by all of them.
 
 #![deny(missing_docs)]
 
@@ -143,174 +140,6 @@ pub fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
 }
 
-pub mod micro {
-    //! A dependency-free micro-benchmark harness exposing the slice of the
-    //! criterion API the `benches/` targets use (`benchmark_group`,
-    //! `bench_with_input`, `bench_function`, `Bencher::iter`,
-    //! `criterion_group!`/`criterion_main!`), so the bench sources read the
-    //! same as they would against criterion while running offline.
-
-    use std::hint::black_box;
-    use std::time::{Duration, Instant};
-
-    /// Top-level harness handle.
-    #[derive(Debug, Default)]
-    pub struct Criterion {
-        _private: (),
-    }
-
-    impl Criterion {
-        /// Creates a harness.
-        pub fn new() -> Self {
-            Self::default()
-        }
-
-        /// Starts a named group of related benchmarks.
-        pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup {
-            let name = name.into();
-            println!("group: {name}");
-            BenchmarkGroup {
-                name,
-                sample_size: 50,
-            }
-        }
-
-        /// Runs one stand-alone benchmark.
-        pub fn bench_function<F>(&mut self, name: impl Into<String>, f: F)
-        where
-            F: FnMut(&mut Bencher),
-        {
-            run_one(&name.into(), 50, f);
-        }
-    }
-
-    /// A named benchmark group; `sample_size` tunes iteration counts.
-    #[derive(Debug)]
-    pub struct BenchmarkGroup {
-        name: String,
-        sample_size: usize,
-    }
-
-    impl BenchmarkGroup {
-        /// Sets the measured-iteration count for subsequent benches.
-        pub fn sample_size(&mut self, n: usize) -> &mut Self {
-            self.sample_size = n.max(1);
-            self
-        }
-
-        /// Records expected throughput (informational only here).
-        pub fn throughput(&mut self, _t: Throughput) -> &mut Self {
-            self
-        }
-
-        /// Runs a benchmark parameterised by `input`.
-        pub fn bench_with_input<I, F>(&mut self, id: BenchmarkId, input: &I, mut f: F) -> &mut Self
-        where
-            F: FnMut(&mut Bencher, &I),
-        {
-            let label = format!("{}/{}", self.name, id.label);
-            run_one(&label, self.sample_size, |b| f(b, input));
-            self
-        }
-
-        /// Runs an unparameterised benchmark inside the group.
-        pub fn bench_function<F>(&mut self, name: impl Into<String>, f: F) -> &mut Self
-        where
-            F: FnMut(&mut Bencher),
-        {
-            let label = format!("{}/{}", self.name, name.into());
-            run_one(&label, self.sample_size, f);
-            self
-        }
-
-        /// Ends the group.
-        pub fn finish(&mut self) {}
-    }
-
-    /// Identifier for a parameterised benchmark.
-    #[derive(Debug)]
-    pub struct BenchmarkId {
-        label: String,
-    }
-
-    impl BenchmarkId {
-        /// Builds an id from a function name and a parameter display value.
-        pub fn new(name: impl Into<String>, param: impl std::fmt::Display) -> Self {
-            Self {
-                label: format!("{}/{param}", name.into()),
-            }
-        }
-    }
-
-    /// Throughput hint accepted for criterion source compatibility.
-    #[derive(Debug, Clone, Copy)]
-    pub enum Throughput {
-        /// Elements processed per iteration.
-        Elements(u64),
-        /// Bytes processed per iteration.
-        Bytes(u64),
-    }
-
-    /// Passed to benchmark closures; call [`Bencher::iter`].
-    #[derive(Debug)]
-    pub struct Bencher {
-        samples: usize,
-        result: Option<(Duration, usize)>,
-    }
-
-    impl Bencher {
-        /// Times `f` over the configured number of iterations (after a
-        /// short warm-up) and records the mean.
-        pub fn iter<R, F: FnMut() -> R>(&mut self, mut f: F) {
-            for _ in 0..self.samples.min(3) {
-                black_box(f());
-            }
-            let start = Instant::now();
-            for _ in 0..self.samples {
-                black_box(f());
-            }
-            self.result = Some((start.elapsed(), self.samples));
-        }
-    }
-
-    fn run_one<F: FnMut(&mut Bencher)>(label: &str, samples: usize, mut f: F) {
-        let mut b = Bencher {
-            samples,
-            result: None,
-        };
-        f(&mut b);
-        match b.result {
-            Some((total, iters)) => {
-                let mean = total.as_secs_f64() / iters as f64;
-                println!("  {label}: {:.3} µs/iter ({iters} iters)", mean * 1e6);
-            }
-            None => println!("  {label}: no measurement recorded"),
-        }
-    }
-
-    /// Collects benchmark functions into one runner, mirroring
-    /// `criterion::criterion_group!`.
-    #[macro_export]
-    macro_rules! criterion_group {
-        ($name:ident, $($target:path),+ $(,)?) => {
-            fn $name() {
-                let mut c = $crate::micro::Criterion::new();
-                $( $target(&mut c); )+
-            }
-        };
-    }
-
-    /// Entry point for a bench binary, mirroring `criterion::criterion_main!`.
-    #[macro_export]
-    macro_rules! criterion_main {
-        ($($group:path),+ $(,)?) => {
-            fn main() {
-                $( $group(); )+
-            }
-        };
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -338,18 +167,5 @@ mod tests {
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\\\"x\\\""));
         assert!(json.contains("r\\n1"));
-    }
-
-    #[test]
-    fn micro_harness_runs() {
-        let mut c = micro::Criterion::new();
-        let mut group = c.benchmark_group("smoke");
-        group.sample_size(2);
-        group.bench_with_input(micro::BenchmarkId::new("add", 1), &1, |b, &x| {
-            b.iter(|| x + 1);
-        });
-        group.bench_function("noop", |b| b.iter(|| ()));
-        group.finish();
-        c.bench_function("top", |b| b.iter(|| 2 + 2));
     }
 }

@@ -4,9 +4,8 @@
 //! This crate is the Rust substitute for the subset of Qiskit 0.18 used by
 //! the paper: a gate set with exact matrices, a [`Circuit`] builder with
 //! registers, synthesis routines (`U` from a state, a circuit from an
-//! arbitrary unitary, multi-controlled gates, multiplexed rotations), a
-//! peephole [`passes`] optimizer and the paper's gate-cost accounting
-//! ([`cost::GateCounts`]).
+//! arbitrary unitary, multi-controlled gates, multiplexed rotations) and
+//! the paper's gate-cost accounting ([`cost::GateCounts`]).
 //!
 //! # Qubit ordering convention
 //!
@@ -37,7 +36,6 @@ pub mod error;
 pub mod gate;
 pub mod instruction;
 pub mod kernel;
-pub mod passes;
 pub mod qasm;
 pub mod qasm_parser;
 pub mod register;

@@ -1516,10 +1516,6 @@ fn sweep_shard_partial(
     Ok(partial.to_json())
 }
 
-fn default_worker_count() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
 /// `sweep run`: initializes the run directory, spawns the workers and
 /// drives retry epochs to completion.
 fn sweep_run(
@@ -1541,7 +1537,7 @@ fn sweep_run(
     let setup = campaign_setup(&args)?;
     let points = sweep_points(args.sweep.as_deref().unwrap_or(&[]));
     let (cells_per_point, units_per_point) = sweep_grid(&args, &setup);
-    let workers = workers.unwrap_or_else(default_worker_count);
+    let workers = qra::sim::threads::resolve_workers(workers.unwrap_or(0), "sweep run");
     let manifest = Manifest {
         argv: args.to_argv(),
         labels: points.iter().map(|p| p.label.clone()).collect(),

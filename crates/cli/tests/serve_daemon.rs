@@ -1,8 +1,9 @@
 //! End-to-end tests of the `qra serve` daemon, driving the real binary:
 //! daemon responses are byte-identical to one-shot invocations at fixed
 //! seeds (for any worker count, cache hits included), repeat circuits hit
-//! the compiled-program cache, SIGTERM drains gracefully, and multi-host
-//! sweeps attribute progress per host in `sweep status --json`.
+//! the compiled-program cache, SIGTERM drains gracefully (an idle daemon
+//! within a bound), and multi-host sweeps attribute progress per host in
+//! `sweep status --json`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -203,6 +204,35 @@ fn daemon_batch_reports_per_job_verdicts_and_stops_cleanly() {
     assert!(ack.contains("draining"), "{ack}");
     let out = daemon.wait_with_output().unwrap();
     assert!(out.status.success());
+    assert!(!socket.exists(), "socket not removed after drain");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn sigterm_drains_an_idle_daemon_promptly() {
+    let dir = tmpdir("sigterm-idle");
+    let socket = dir.join("d.sock");
+    let mut daemon = spawn_daemon(&socket, "1");
+    assert!(Command::new("kill")
+        .arg(daemon.id().to_string())
+        .status()
+        .unwrap()
+        .success());
+    // The drain wakes a blocked accept; a lost wake-up fails here instead
+    // of hanging the suite.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let status = loop {
+        if let Some(status) = daemon.try_wait().unwrap() {
+            break status;
+        }
+        if Instant::now() > deadline {
+            let _ = daemon.kill();
+            let _ = daemon.wait();
+            panic!("idle daemon did not drain within 10 s of SIGTERM");
+        }
+        thread::sleep(Duration::from_millis(10));
+    };
+    assert!(status.success(), "daemon exited {status} on SIGTERM");
     assert!(!socket.exists(), "socket not removed after drain");
     let _ = fs::remove_dir_all(&dir);
 }

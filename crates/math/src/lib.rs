@@ -76,6 +76,23 @@ pub fn qubits_for_dim(dim: usize) -> Result<usize, MathError> {
     Ok(dim.trailing_zeros() as usize)
 }
 
+/// FNV-1a 64-bit hash of `bytes` (offset basis 0xcbf29ce484222325,
+/// prime 0x100000001b3): the function behind compiled-program cache
+/// keys and run-directory record checksums, so both stay stable across
+/// crates and releases.
+///
+/// ```rust
+/// assert_eq!(qra_math::fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+/// ```
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -29,8 +29,9 @@
 //! and the unit coordinates via FNV-1a, never from wall-clock or OS
 //! randomness.
 
-use crate::rundir::{checksummed_line, fnv1a, ResultsStream, RunDir};
+use crate::rundir::{checksummed_line, ResultsStream, RunDir};
 use crate::OrchError;
+use qra_math::fnv1a;
 use std::cell::Cell;
 use std::fs::OpenOptions;
 use std::path::PathBuf;

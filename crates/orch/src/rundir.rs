@@ -29,6 +29,7 @@ use crate::lease::{self, Lease};
 use crate::OrchError;
 use qra_faults::json::{self, json_str, Json};
 use qra_faults::{parse_unit_record, CellStatus, SweepUnitPayload, SweepUnitRecord};
+use qra_math::fnv1a;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::fs::{self, File, OpenOptions};
@@ -593,17 +594,6 @@ fn unit_failed(record: &SweepUnitRecord) -> bool {
         }
         SweepUnitPayload::Margins(_) => false,
     }
-}
-
-/// FNV-1a 64-bit over `bytes` (offset 0xcbf29ce484222325, prime
-/// 0x100000001b3) — the record checksum function.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// Wraps a record JSON object with its trailing checksum field: the

@@ -4,8 +4,8 @@
 //!
 //! * [`math`] — complex linear algebra (vectors, matrices, Gram–Schmidt,
 //!   Hermitian eigendecomposition);
-//! * [`circuit`] — circuit IR, gate synthesis, peephole optimizer, cost
-//!   accounting, OpenQASM export;
+//! * [`circuit`] — circuit IR, gate synthesis, cost accounting, OpenQASM
+//!   export;
 //! * [`sim`] — state-vector and density-matrix simulators with noise
 //!   models;
 //! * [`core`] — the paper's contribution: SWAP-based, logical-OR and NDD
@@ -21,7 +21,7 @@
 //!   directories, claim-based worker scheduling, and kill+resume with
 //!   byte-identical reassembly;
 //! * [`serve`] — the streaming assertion service: a Unix-socket daemon
-//!   with a lock-free work queue, a compiled-program cache, online
+//!   with a bounded job queue, a compiled-program cache, online
 //!   latency percentiles, and graceful SIGTERM drain.
 //!
 //! # Quickstart

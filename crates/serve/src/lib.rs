@@ -6,11 +6,12 @@
 //! long-lived daemon:
 //!
 //! * [`Server`] listens on a Unix socket for line-delimited JSON job
-//!   requests ([`protocol`]), feeds them through a bounded lock-free
-//!   SPMC work queue ([`SpmcQueue`]) to a pool of worker threads, and
+//!   requests ([`protocol`]), feeds them through a bounded job queue (one
+//!   mutex and condition variable) to a pool of worker threads, and
 //!   answers each with the job's exact one-shot output (byte-identical
 //!   to running the same argv directly, by construction: the CLI injects
-//!   its own dispatcher as the [`JobExecutor`]).
+//!   its own dispatcher as the [`JobExecutor`]). Nothing polls: the
+//!   accept loop blocks in `accept` and idle workers wait on the queue.
 //! * A shared [`qra_sim::ProgramCache`] lets repeat circuits skip
 //!   lowering; cached and fresh compiles are bit-identical, so cache
 //!   hits never change results.
@@ -25,7 +26,6 @@
 pub mod metrics;
 pub mod protocol;
 pub mod server;
-pub mod spmc;
 
 pub use metrics::{MetricsSnapshot, ServeMetrics};
 pub use protocol::{JobResponse, Request};
@@ -33,4 +33,3 @@ pub use server::{
     request_shutdown, request_status, submit_jobs, JobExecutor, ServeError, ServeSummary, Server,
     ServerConfig,
 };
-pub use spmc::SpmcQueue;

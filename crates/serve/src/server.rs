@@ -1,27 +1,32 @@
-//! The `qra serve` daemon: a Unix-socket accept loop feeding a bounded
-//! lock-free work queue drained by a pool of worker threads.
+//! The `qra serve` daemon: a blocking Unix-socket accept loop whose
+//! connection readers feed a bounded job queue drained by a pool of
+//! worker threads.
 //!
 //! # Shutdown / drain state machine
 //!
 //! ```text
-//! ACCEPTING --(SIGTERM | {"control":"shutdown"} | drain_handle)--> DRAINING
-//! DRAINING: stop accepting; connection readers exit (new jobs are
-//!           refused with an error response); queued + in-flight jobs
-//!           finish and their responses are written.
+//! ACCEPTING --(SIGTERM | {"control":"shutdown"} | drain_when)--> DRAINING
+//! DRAINING: the accept loop stops; readers answer new jobs with an
+//!           error response until their client hangs up; queued and
+//!           in-flight jobs finish and their responses are written.
 //! DRAINED:  workers join, the socket file is removed, `run` returns.
 //! ```
 //!
-//! Jobs are never abandoned once enqueued: every accepted job gets a
-//! response line before `run` returns. Jobs refused during drain or by
-//! queue backpressure get an immediate error response and count in the
+//! The queue and the `draining` flag sit under one lock, so once draining
+//! is set the queue can only shrink: a worker that finds it draining and
+//! empty may exit, and every job accepted before that point is answered
+//! before `run` returns. Jobs refused during drain or by queue
+//! backpressure get an immediate error response and count in the
 //! `dropped` metric (backpressure only).
 
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::collections::VecDeque;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::os::fd::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicI32, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -29,7 +34,6 @@ use qra_sim::ProgramCache;
 
 use crate::metrics::{MetricsSnapshot, ServeMetrics};
 use crate::protocol::{self, JobResponse, Request};
-use crate::spmc::SpmcQueue;
 
 /// Errors from the daemon and its clients.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -101,31 +105,45 @@ struct Job {
     enqueued: Instant,
 }
 
-/// Process-global SIGTERM latch (handlers are process-global, so this
-/// cannot live in the server struct).
-static SIGTERM: AtomicBool = AtomicBool::new(false);
+/// Write end of the SIGTERM self-pipe while a daemon handles SIGTERM,
+/// else -1 (handlers are process-global, so this cannot live in the
+/// server struct).
+static SIGTERM_PIPE: AtomicI32 = AtomicI32::new(-1);
 
 extern "C" fn on_sigterm(_signum: i32) {
-    SIGTERM.store(true, Ordering::SeqCst);
+    let fd = SIGTERM_PIPE.load(Ordering::SeqCst);
+    if fd >= 0 {
+        let byte = 1u8;
+        // SAFETY: write(2) is async-signal-safe and reads one byte from
+        // `byte`, which outlives the call; `run` unpublishes `fd` before
+        // closing it.
+        unsafe { write(fd, &byte, 1) };
+    }
 }
 
 extern "C" {
-    // libc's signal(2), linked via std; avoids a libc crate dependency.
+    // libc's signal(2) and write(2), linked via std; avoids a libc crate
+    // dependency.
     fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
+    fn write(fd: i32, buf: *const u8, count: usize) -> isize;
 }
 
 const SIGTERM_NO: i32 = 15;
 
-/// Shared daemon state: queue, metrics, drain latch.
+/// The job queue and the drain latch, guarded together.
+struct Queue {
+    jobs: VecDeque<Job>,
+    draining: bool,
+}
+
+/// Shared daemon state: queue, metrics, configuration.
 struct Inner {
-    queue: SpmcQueue<Job>,
+    queue: Mutex<Queue>,
+    /// Signalled when a job is queued or draining starts.
+    ready: Condvar,
+    queue_depth: usize,
+    socket: PathBuf,
     metrics: ServeMetrics,
-    draining: AtomicBool,
-    /// Set by `cleanup` only after every reader has been joined and the
-    /// queue is dry — workers must not exit on `draining` alone, or a
-    /// reader that has not yet observed the flag could enqueue a job
-    /// with nobody left to run it.
-    stop_workers: AtomicBool,
     executor: Arc<JobExecutor>,
     cache: Option<Arc<ProgramCache>>,
     hosts: Vec<String>,
@@ -134,8 +152,54 @@ struct Inner {
 }
 
 impl Inner {
+    fn lock(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().expect("job queue poisoned")
+    }
+
+    /// Queues a job, or refuses it with the reason and whether the
+    /// refusal counts as a backpressure drop.
+    fn push(&self, job: Job) -> Result<(), (&'static str, bool)> {
+        let mut queue = self.lock();
+        if queue.draining {
+            return Err(("daemon is draining", false));
+        }
+        if queue.jobs.len() >= self.queue_depth {
+            self.metrics.job_dropped();
+            return Err(("queue full", true));
+        }
+        queue.jobs.push_back(job);
+        drop(queue);
+        self.ready.notify_one();
+        Ok(())
+    }
+
+    /// Blocks until a job is queued; `None` once draining has emptied
+    /// the queue.
+    fn pop(&self) -> Option<Job> {
+        let mut queue = self
+            .ready
+            .wait_while(self.lock(), |q| q.jobs.is_empty() && !q.draining)
+            .expect("job queue poisoned");
+        queue.jobs.pop_front()
+    }
+
+    /// Starts the drain — the one path SIGTERM, the shutdown control and
+    /// [`Server::drain_when`] all take: refuse new jobs, wake idle
+    /// workers, and wake the accept loop with a connection of its own.
+    /// The connect fails harmlessly before the socket is bound (the loop
+    /// checks the flag before its first `accept`) and after it is gone.
+    fn drain(&self) {
+        self.lock().draining = true;
+        self.ready.notify_all();
+        let _ = UnixStream::connect(&self.socket);
+    }
+
     fn status_line(&self) -> String {
         let snap = self.metrics.snapshot();
+        let (queued, draining) = {
+            let queue = self.lock();
+            (queue.jobs.len(), queue.draining)
+        };
         let cache = match &self.cache {
             Some(c) => format!(
                 "{{\"hits\":{},\"misses\":{},\"entries\":{}}}",
@@ -157,12 +221,12 @@ impl Inner {
              \"uptime_ms\":{},\"hosts\":[{hosts}],\"cache\":{cache},\
              \"latency_us\":{{\"count\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}}}}}",
             self.workers,
-            self.queue.capacity(),
-            self.queue.len(),
+            self.queue_depth,
+            queued,
             snap.in_flight,
             snap.processed,
             snap.dropped,
-            self.draining.load(Ordering::SeqCst),
+            draining,
             self.started.elapsed().as_millis(),
             snap.latency_count,
             snap.p50_us,
@@ -199,20 +263,19 @@ impl std::fmt::Debug for Server {
 impl Server {
     /// Creates a daemon executing jobs through `executor`.
     pub fn new(config: ServerConfig, executor: Arc<JobExecutor>) -> Server {
-        let workers = if config.workers == 0 {
-            thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            config.workers
-        };
         let inner = Arc::new(Inner {
-            queue: SpmcQueue::with_capacity(config.queue_depth),
+            queue: Mutex::new(Queue {
+                jobs: VecDeque::new(),
+                draining: false,
+            }),
+            ready: Condvar::new(),
+            queue_depth: config.queue_depth,
+            socket: config.socket.clone(),
             metrics: ServeMetrics::new(),
-            draining: AtomicBool::new(false),
-            stop_workers: AtomicBool::new(false),
-            executor: Arc::clone(&executor),
+            executor,
             cache: config.cache.clone(),
             hosts: config.hosts.clone(),
-            workers,
+            workers: qra_sim::threads::resolve_workers(config.workers, "serve"),
             started: Instant::now(),
         });
         Server { config, inner }
@@ -222,7 +285,7 @@ impl Server {
     /// equivalent of SIGTERM for tests and benches.
     pub fn drain_when(&self) -> impl Fn() + Send + Sync + 'static {
         let inner = Arc::clone(&self.inner);
-        move || inner.draining.store(true, Ordering::SeqCst)
+        move || inner.drain()
     }
 
     /// Binds the socket, serves until drain is requested (SIGTERM,
@@ -234,73 +297,82 @@ impl Server {
     /// [`ServeError`] when the socket cannot be bound (including another
     /// live daemon on the same path) or the accept loop fails.
     pub fn run(&self) -> Result<ServeSummary, ServeError> {
-        if self.config.handle_sigterm {
-            SIGTERM.store(false, Ordering::SeqCst);
-            unsafe { signal(SIGTERM_NO, on_sigterm) };
+        // Installed before the bind, so a SIGTERM sent once the socket
+        // answers always drains rather than kills.
+        let sigterm = if self.config.handle_sigterm {
+            Some(watch_sigterm(&self.inner)?)
+        } else {
+            None
+        };
+        let result = bind_socket(&self.config.socket).and_then(|listener| self.serve(&listener));
+        if let Some(pipe) = sigterm {
+            SIGTERM_PIPE.store(-1, Ordering::SeqCst);
+            drop(pipe);
         }
-        let listener = bind_socket(&self.config.socket)?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| ServeError(format!("nonblocking accept: {e}")))?;
+        result
+    }
 
-        let mut workers = Vec::with_capacity(self.inner.workers);
-        for _ in 0..self.inner.workers {
-            let inner = Arc::clone(&self.inner);
-            workers.push(thread::spawn(move || worker_loop(&inner)));
-        }
-
-        let mut readers: Vec<thread::JoinHandle<()>> = Vec::new();
-        loop {
-            if SIGTERM.load(Ordering::SeqCst) {
-                self.inner.draining.store(true, Ordering::SeqCst);
-            }
-            if self.inner.draining.load(Ordering::SeqCst) {
-                break;
-            }
+    /// Accepts connections until draining, then joins the workers and
+    /// removes the socket.
+    fn serve(&self, listener: &UnixListener) -> Result<ServeSummary, ServeError> {
+        let workers: Vec<_> = (0..self.inner.workers)
+            .map(|_| {
+                let inner = Arc::clone(&self.inner);
+                thread::spawn(move || worker_loop(&inner))
+            })
+            .collect();
+        let mut failure = None;
+        while !self.inner.lock().draining {
             match listener.accept() {
                 Ok((stream, _)) => {
                     let inner = Arc::clone(&self.inner);
-                    readers.push(thread::spawn(move || read_connection(stream, &inner)));
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    thread::sleep(Duration::from_millis(2));
-                    readers.retain(|r| !r.is_finished());
+                    // Detached: a reader lives until its client hangs up,
+                    // which the drain does not wait for. The drain's own
+                    // wake-up connection closes at once.
+                    thread::spawn(move || read_connection(stream, &inner));
                 }
                 Err(e) => {
-                    self.inner.draining.store(true, Ordering::SeqCst);
-                    cleanup(&self.config.socket, readers, workers, &self.inner);
-                    return Err(ServeError(format!("accept failed: {e}")));
+                    failure = Some(ServeError(format!("accept failed: {e}")));
+                    self.inner.drain();
                 }
             }
         }
-        cleanup(&self.config.socket, readers, workers, &self.inner);
-        Ok(ServeSummary {
-            metrics: self.inner.metrics.snapshot(),
-            uptime: self.inner.started.elapsed(),
-        })
+        // Draining: no job can be queued any more, and each worker exits
+        // once the queue is empty.
+        for w in workers {
+            let _ = w.join();
+        }
+        let _ = std::fs::remove_file(&self.config.socket);
+        match failure {
+            Some(e) => Err(e),
+            None => Ok(ServeSummary {
+                metrics: self.inner.metrics.snapshot(),
+                uptime: self.inner.started.elapsed(),
+            }),
+        }
     }
 }
 
-/// Joins readers (no new jobs after this), waits for the queue and
-/// in-flight set to empty, stops workers, removes the socket.
-fn cleanup(
-    socket: &Path,
-    readers: Vec<thread::JoinHandle<()>>,
-    workers: Vec<thread::JoinHandle<()>>,
-    inner: &Arc<Inner>,
-) {
-    for r in readers {
-        let _ = r.join();
-    }
-    // All producers are gone; the queue can only shrink now.
-    while !inner.queue.is_empty() || inner.metrics.in_flight() > 0 {
-        thread::sleep(Duration::from_millis(1));
-    }
-    inner.stop_workers.store(true, Ordering::SeqCst);
-    for w in workers {
-        let _ = w.join();
-    }
-    let _ = std::fs::remove_file(socket);
+/// Turns SIGTERM into a drain through a self-pipe: the handler writes
+/// one byte, and a thread blocked on the other end starts the drain.
+/// The signal cannot interrupt the accept loop itself: std's `accept`
+/// retries on `EINTR`, and `signal` installs the handler with
+/// `SA_RESTART`. Returns the write end; dropping it after clearing
+/// `SIGTERM_PIPE` ends the thread.
+fn watch_sigterm(inner: &Arc<Inner>) -> Result<UnixStream, ServeError> {
+    let (mut rx, pipe) =
+        UnixStream::pair().map_err(|e| ServeError(format!("SIGTERM pipe: {e}")))?;
+    let inner = Arc::clone(inner);
+    thread::spawn(move || {
+        if rx.read_exact(&mut [0]).is_ok() {
+            inner.drain();
+        }
+    });
+    SIGTERM_PIPE.store(pipe.as_raw_fd(), Ordering::SeqCst);
+    // SAFETY: `on_sigterm` only loads an atomic and calls write(2), both
+    // async-signal-safe.
+    unsafe { signal(SIGTERM_NO, on_sigterm) };
+    Ok(pipe)
 }
 
 /// Binds `path`, replacing a stale socket file but refusing to displace
@@ -319,84 +391,57 @@ fn bind_socket(path: &Path) -> Result<UnixListener, ServeError> {
     UnixListener::bind(path).map_err(|e| ServeError(format!("binding {}: {e}", path.display())))
 }
 
-/// One worker: pop, execute (panic-isolated), respond, repeat until
-/// drain is requested and the queue is dry.
-fn worker_loop(inner: &Arc<Inner>) {
-    loop {
-        match inner.queue.try_pop() {
-            Some(job) => {
-                inner.metrics.job_started();
-                let result = catch_unwind(AssertUnwindSafe(|| (inner.executor)(&job.argv)));
-                let latency_us = job.enqueued.elapsed().as_micros() as u64;
-                let line = match result {
-                    Ok(Ok((output, code))) => protocol::job_ok(job.id, code, &output, latency_us),
-                    Ok(Err(message)) => protocol::job_err(job.id, &message, false),
-                    Err(_) => protocol::job_err(job.id, "job panicked", false),
-                };
-                respond(&job.reply, &line);
-                inner.metrics.job_finished(latency_us);
-            }
-            None => {
-                if inner.stop_workers.load(Ordering::SeqCst) {
-                    return;
-                }
-                thread::sleep(Duration::from_micros(200));
-            }
+/// One worker: pop, execute (panic-isolated), respond, repeat until the
+/// drain has emptied the queue.
+fn worker_loop(inner: &Inner) {
+    while let Some(job) = inner.pop() {
+        inner.metrics.job_started();
+        let result = catch_unwind(AssertUnwindSafe(|| (inner.executor)(&job.argv)));
+        let latency_us = job.enqueued.elapsed().as_micros() as u64;
+        let line = match result {
+            Ok(Ok((output, code))) => protocol::job_ok(job.id, code, &output, latency_us),
+            Ok(Err(message)) => protocol::job_err(job.id, &message, false),
+            Err(_) => protocol::job_err(job.id, "job panicked", false),
+        };
+        respond(&job.reply, &line);
+        inner.metrics.job_finished(latency_us);
+    }
+}
+
+/// One connection: parse request lines, enqueue jobs and answer controls
+/// until the client hangs up.
+fn read_connection(stream: UnixStream, inner: &Inner) {
+    let Ok(writer) = stream.try_clone() else {
+        return;
+    };
+    let reply = Arc::new(Mutex::new(writer));
+    for line in BufReader::new(stream).lines() {
+        let Ok(line) = line else {
+            return;
+        };
+        let trimmed = line.trim();
+        if !trimmed.is_empty() {
+            handle_request(trimmed, &reply, inner);
         }
     }
 }
 
-/// One connection: parse request lines, enqueue jobs, answer controls.
-fn read_connection(stream: UnixStream, inner: &Arc<Inner>) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-    let reply = Arc::new(Mutex::new(match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    }));
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        match reader.read_line(&mut line) {
-            Ok(0) => return,
-            Ok(_) => {
-                let trimmed = line.trim();
-                if !trimmed.is_empty() {
-                    handle_request(trimmed, &reply, inner);
-                }
-                line.clear();
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                // Partial data stays in `line` across the timeout.
-                if inner.draining.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(_) => return,
-        }
-    }
-}
-
-fn handle_request(line: &str, reply: &Arc<Mutex<UnixStream>>, inner: &Arc<Inner>) {
+fn handle_request(line: &str, reply: &Arc<Mutex<UnixStream>>, inner: &Inner) {
     match protocol::parse_request(line) {
         Ok(Request::Status) => respond(reply, &inner.status_line()),
         Ok(Request::Shutdown) => {
             respond(reply, "{\"ok\":true,\"draining\":true}");
-            inner.draining.store(true, Ordering::SeqCst);
+            inner.drain();
         }
         Ok(Request::Job { id, argv }) => {
-            if inner.draining.load(Ordering::SeqCst) {
-                respond(reply, &protocol::job_err(id, "daemon is draining", false));
-                return;
-            }
             let job = Job {
                 id,
                 argv,
                 reply: Arc::clone(reply),
                 enqueued: Instant::now(),
             };
-            if let Err(refused) = inner.queue.try_push(job) {
-                inner.metrics.job_dropped();
-                respond(reply, &protocol::job_err(refused.id, "queue full", true));
+            if let Err((reason, dropped)) = inner.push(job) {
+                respond(reply, &protocol::job_err(id, reason, dropped));
             }
         }
         Err(message) => {

@@ -23,26 +23,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use qra_circuit::{Circuit, Operation};
+use qra_math::fnv1a;
 
 use crate::exec::CompiledProgram;
 use crate::exec_density::CompiledDensityProgram;
 use crate::noise::NoiseModel;
 use crate::SimError;
-
-/// FNV-1a offset basis (same constants as the orchestrator's record
-/// checksums, so fingerprints are stable across crates).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
 
 fn push_usize(out: &mut Vec<u8>, v: usize) {
     out.extend_from_slice(&(v as u64).to_le_bytes());

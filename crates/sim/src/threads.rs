@@ -26,6 +26,20 @@ pub fn resolve_threads(threads: usize) -> (usize, bool) {
     }
 }
 
+/// Resolves a `--workers` pool size like [`resolve_threads`], warning on
+/// stderr (never degrading to serial silently) when an auto (`0`) count
+/// fell back to one worker because the core-count query failed.
+pub fn resolve_workers(workers: usize, pool: &str) -> usize {
+    let (resolved, fallback) = resolve_threads(workers);
+    if fallback {
+        eprintln!(
+            "warning: available-parallelism query failed; {pool} degrading to \
+             {resolved} worker(s) — pass explicit --workers to override"
+        );
+    }
+    resolved
+}
+
 /// Derives a per-shot RNG seed from a base seed and a shot index using
 /// the SplitMix64 finalizer over the packed pair — the same scheme the
 /// campaign runner uses for `(seed, cell)` derivation. Distinct

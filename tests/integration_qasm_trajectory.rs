@@ -4,7 +4,6 @@
 //! the density back-end on assertion workloads.
 
 use qra::algorithms::states;
-use qra::circuit::passes::peephole_optimize;
 use qra::circuit::qasm::to_qasm;
 use qra::circuit::qasm_parser::from_qasm;
 use qra::prelude::*;
@@ -70,26 +69,6 @@ fn assertion_circuit_roundtrips_through_qasm() {
             "{design} assertion broke across the QASM roundtrip"
         );
     }
-}
-
-#[test]
-fn optimized_assertion_circuit_roundtrips() {
-    let mut program = states::ghz(3);
-    let handle = insert_assertion(
-        &mut program,
-        &[0, 1, 2],
-        &StateSpec::pure(states::ghz_vector(3)).unwrap(),
-        Design::Swap,
-    )
-    .unwrap();
-    let optimized = peephole_optimize(&program);
-    assert!(optimized.len() <= program.len());
-    let text = to_qasm(&lower_for_export(&optimized)).unwrap();
-    let parsed = from_qasm(&text).unwrap();
-    let counts = StatevectorSimulator::with_seed(2)
-        .run(&parsed, 4096)
-        .unwrap();
-    assert_eq!(handle.error_rate(&counts), 0.0);
 }
 
 #[test]

@@ -1,10 +1,9 @@
 //! Randomized property tests on the synthesis substrate: state
-//! preparation, unitary synthesis, the optimizer, and the cost model.
+//! preparation, unitary synthesis and the cost model.
 //!
 //! Seeded PRNG loops replace the former proptest strategies; every case is
 //! deterministic for a fixed base seed.
 
-use qra::circuit::passes::peephole_optimize;
 use qra::circuit::synthesis::{prepare_state, unitary_circuit};
 use qra::prelude::*;
 use rand::rngs::StdRng;
@@ -79,30 +78,6 @@ fn prepare_state_respects_cx_bound() {
         let counts = GateCounts::of(&c).unwrap();
         // O(2ⁿ) bound with a generous constant.
         assert!(counts.cx <= 2 * 16, "cx = {}", counts.cx);
-    }
-}
-
-#[test]
-fn peephole_preserves_semantics() {
-    let mut rng = StdRng::seed_from_u64(13);
-    for _ in 0..CASES {
-        let c = random_circuit(&mut rng, 3, 24);
-        let opt = peephole_optimize(&c);
-        assert!(opt.len() <= c.len());
-        let u1 = c.unitary_matrix().unwrap();
-        let u2 = opt.unitary_matrix().unwrap();
-        assert!(u1.approx_eq_up_to_phase(&u2, 1e-7));
-    }
-}
-
-#[test]
-fn optimizer_is_idempotent() {
-    let mut rng = StdRng::seed_from_u64(14);
-    for _ in 0..CASES {
-        let c = random_circuit(&mut rng, 3, 16);
-        let once = peephole_optimize(&c);
-        let twice = peephole_optimize(&once);
-        assert_eq!(once.len(), twice.len());
     }
 }
 
