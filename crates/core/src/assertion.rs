@@ -311,7 +311,10 @@ impl AssertionHandle {
 
 /// Inserts an assertion for `spec` on `qubits` of `circuit`, appending the
 /// required ancillas and classical bits. This is the Rust counterpart of
-/// the paper's `assert(circuit, qubitList, stateSet, design)`.
+/// the paper's `assert(circuit, qubitList, stateSet, design)`: it runs
+/// [`validate_qubits`], [`synthesize_assertion`] and
+/// [`Assertion::compose_into`] in turn, which callers inserting one
+/// assertion into many circuits (a fault campaign) call apart.
 ///
 /// # Errors
 ///
@@ -324,6 +327,21 @@ pub fn insert_assertion(
     spec: &StateSpec,
     design: Design,
 ) -> Result<AssertionHandle, AssertionError> {
+    validate_qubits(circuit, qubits, spec)?;
+    synthesize_assertion(spec, design)?.compose_into(circuit, qubits)
+}
+
+/// Checks that `qubits` can carry an assertion for `spec` in `circuit`:
+/// one qubit per spec qubit, each in range, none twice.
+///
+/// # Errors
+///
+/// [`AssertionError::InvalidQubitList`] naming the first problem.
+pub fn validate_qubits(
+    circuit: &Circuit,
+    qubits: &[usize],
+    spec: &StateSpec,
+) -> Result<(), AssertionError> {
     if qubits.len() != spec.num_qubits() {
         return Err(AssertionError::InvalidQubitList {
             reason: format!(
@@ -345,24 +363,39 @@ pub fn insert_assertion(
             });
         }
     }
-    let assertion = synthesize_assertion(spec, design)?;
+    Ok(())
+}
 
-    let anc_base = circuit.num_qubits();
-    let cl_base = circuit.num_clbits();
-    circuit.expand_qubits(anc_base + assertion.num_ancillas());
-    circuit.expand_clbits(cl_base + assertion.num_clbits());
+impl Assertion {
+    /// Splices this assertion onto `qubits` of `circuit` (which
+    /// [`validate_qubits`] accepted for the assertion's spec), appending
+    /// its ancillas and classical bits.
+    ///
+    /// # Errors
+    ///
+    /// A composition failure from [`Circuit::compose`].
+    pub fn compose_into(
+        &self,
+        circuit: &mut Circuit,
+        qubits: &[usize],
+    ) -> Result<AssertionHandle, AssertionError> {
+        let anc_base = circuit.num_qubits();
+        let cl_base = circuit.num_clbits();
+        circuit.expand_qubits(anc_base + self.num_ancillas());
+        circuit.expand_clbits(cl_base + self.num_clbits());
 
-    let mut qubit_map: Vec<usize> = qubits.to_vec();
-    qubit_map.extend(anc_base..anc_base + assertion.num_ancillas());
-    let clbit_map: Vec<usize> = (cl_base..cl_base + assertion.num_clbits()).collect();
-    circuit.compose(assertion.circuit(), &qubit_map, &clbit_map)?;
+        let mut qubit_map: Vec<usize> = qubits.to_vec();
+        qubit_map.extend(anc_base..anc_base + self.num_ancillas());
+        let clbit_map: Vec<usize> = (cl_base..cl_base + self.num_clbits()).collect();
+        circuit.compose(self.circuit(), &qubit_map, &clbit_map)?;
 
-    Ok(AssertionHandle {
-        design: assertion.design(),
-        ancilla_qubits: (anc_base..anc_base + assertion.num_ancillas()).collect(),
-        clbits: clbit_map,
-        counts: assertion.gate_counts(),
-    })
+        Ok(AssertionHandle {
+            design: self.design(),
+            ancilla_qubits: (anc_base..anc_base + self.num_ancillas()).collect(),
+            clbits: clbit_map,
+            counts: self.gate_counts(),
+        })
+    }
 }
 
 /// Inserts a *de-allocation assertion*: checks that `qubits` are back in

@@ -59,8 +59,8 @@ pub mod swap;
 
 pub use analysis::AssertionReport;
 pub use assertion::{
-    insert_assertion, insert_deallocation_assertion, synthesize_assertion, Assertion,
-    AssertionHandle, Candidates, Design,
+    insert_assertion, insert_deallocation_assertion, synthesize_assertion, validate_qubits,
+    Assertion, AssertionHandle, Candidates, Design,
 };
 pub use error::AssertionError;
 pub use spec::{CorrectStates, StateSpec};

@@ -20,7 +20,9 @@ use crate::inject::Mutant;
 use crate::report::{BaselineCell, CampaignCell, CampaignReport, CellStatus};
 use qra_circuit::{Circuit, GateCounts};
 use qra_core::baselines::statistical_assertion;
-use qra_core::{insert_assertion, Design, StateSpec};
+use qra_core::{
+    synthesize_assertion, validate_qubits, Assertion, AssertionError, Design, StateSpec,
+};
 use qra_sim::threads::resolve_threads;
 use qra_sim::{
     CompiledProgram, Counts, DensityMatrixSimulator, NoiseModel, ProgramCache, SimError,
@@ -30,7 +32,7 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -594,6 +596,13 @@ pub fn run_campaign_with_executor(
         None => (0, total),
     };
 
+    // One synthesis per design: it depends only on the spec and the
+    // design, so every cell of a column shares it. A cell fills its
+    // column's slot inside its own `catch_unwind`; a panicking synthesis
+    // leaves the slot empty, so each cell of that column panics as before.
+    let assertions: Vec<OnceLock<Result<Assertion, AssertionError>>> =
+        config.designs.iter().map(|_| OnceLock::new()).collect();
+
     // Execute on a shared-cursor worker pool. Each slot is written exactly
     // once by whichever worker claims its index, then reassembled in index
     // order below — execution order never leaks into the report.
@@ -624,6 +633,7 @@ pub fn run_campaign_with_executor(
                     qubits,
                     spec,
                     task.design,
+                    &assertions[task.col as usize],
                     config,
                     derive_seed(config.seed, task.row, task.col),
                     executor,
@@ -722,6 +732,7 @@ fn run_cell(
     qubits: &[usize],
     spec: &StateSpec,
     design: CampaignDesign,
+    assertion: &OnceLock<Result<Assertion, AssertionError>>,
     config: &CampaignConfig,
     cell_seed: u64,
     executor: &Executor<'_>,
@@ -729,7 +740,7 @@ fn run_cell(
 ) -> (CellStatus, Option<GateCounts>) {
     let result = catch_unwind(AssertUnwindSafe(|| {
         run_cell_inner(
-            circuit, qubits, spec, design, config, cell_seed, executor, deadline,
+            circuit, qubits, spec, design, assertion, config, cell_seed, executor, deadline,
         )
     }));
     match result {
@@ -752,6 +763,7 @@ fn run_cell_inner(
     qubits: &[usize],
     spec: &StateSpec,
     design: CampaignDesign,
+    assertion: &OnceLock<Result<Assertion, AssertionError>>,
     config: &CampaignConfig,
     cell_seed: u64,
     executor: &Executor<'_>,
@@ -759,9 +771,19 @@ fn run_cell_inner(
 ) -> (CellStatus, Option<GateCounts>) {
     match design.as_design() {
         Some(core_design) => {
-            let mut asserted = circuit.clone();
-            let handle = match insert_assertion(&mut asserted, qubits, spec, core_design) {
-                Ok(h) => h,
+            // `insert_assertion`'s steps, with the synthesis shared by the
+            // column: the same error (validation first) or panic per cell.
+            let inserted = validate_qubits(circuit, qubits, spec).and_then(|()| {
+                let assertion = assertion
+                    .get_or_init(|| synthesize_assertion(spec, core_design))
+                    .as_ref()
+                    .map_err(Clone::clone)?;
+                let mut asserted = circuit.clone();
+                let handle = assertion.compose_into(&mut asserted, qubits)?;
+                Ok((asserted, handle))
+            });
+            let (asserted, handle) = match inserted {
+                Ok(inserted) => inserted,
                 Err(e) => return (CellStatus::Failed { error: e.into() }, None),
             };
             let mut retries = 0u32;
@@ -848,6 +870,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qra_core::insert_assertion;
 
     #[test]
     fn derive_seed_separates_streams() {
@@ -905,6 +928,42 @@ mod tests {
                     next = hi;
                 }
                 assert_eq!(next, total, "shards must cover all {total} cells");
+            }
+        }
+    }
+
+    /// A design is synthesised once per campaign, yet each cell still gets
+    /// the error `insert_assertion` gives its circuit, validation first.
+    #[test]
+    fn shared_synthesis_keeps_each_cells_error() {
+        let mut program = Circuit::new(2);
+        program.h(0).cx(0, 1);
+        let mutants = crate::FaultInjector::new(3).enumerate_single(&program);
+        let config = CampaignConfig {
+            shots: 64,
+            designs: vec![CampaignDesign::Swap, CampaignDesign::Ndd],
+            ..CampaignConfig::default()
+        };
+        // Full rank: synthesis fails; qubit 5 is out of range as well.
+        let mixed = qra_math::CMatrix::identity(4).scale(qra_math::C64::from(0.25));
+        let spec = StateSpec::mixed(mixed).unwrap();
+        for qubits in [[0, 1], [0, 5]] {
+            let report = run_campaign(&program, &qubits, &spec, &mutants, &config);
+            assert_eq!(report.cells.len(), mutants.len() * 2);
+            for (cell, (mutant, design)) in report.cells.iter().zip(
+                mutants
+                    .iter()
+                    .flat_map(|m| config.designs.iter().map(move |&d| (m, d))),
+            ) {
+                let design = design.as_design().unwrap();
+                let mut circuit = mutant.circuit.clone();
+                let expect = insert_assertion(&mut circuit, &qubits, &spec, design).unwrap_err();
+                match &cell.status {
+                    CellStatus::Failed { error } => {
+                        assert_eq!(error.to_string(), expect.to_string(), "{qubits:?}")
+                    }
+                    other => panic!("{qubits:?}: expected a failure, got {other:?}"),
+                }
             }
         }
     }

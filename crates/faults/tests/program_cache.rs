@@ -94,3 +94,40 @@ fn repeat_campaign_is_all_hits_and_byte_identical() {
     assert_eq!(first.to_json(), second.to_json());
     assert_eq!(first.render_text(), second.render_text());
 }
+
+#[test]
+fn evicting_cache_is_byte_identical() {
+    let program = states::ghz(3);
+    let spec = StateSpec::pure(states::ghz_vector(3)).unwrap();
+    let qubits = [0, 1, 2];
+    let mutants = qra_faults::FaultInjector::new(5).enumerate_single(&program);
+    let config = CampaignConfig {
+        shots: 256,
+        seed: 13,
+        designs: vec![CampaignDesign::Ndd],
+        noise: qra_sim::DevicePreset::melbourne_like(),
+        ..CampaignConfig::default()
+    };
+    let roomy_cache = Arc::new(ProgramCache::new());
+    let roomy = CampaignConfig {
+        cache: Some(Arc::clone(&roomy_cache)),
+        ..config.clone()
+    };
+    let roomy = run_campaign(&program, &qubits, &spec, &mutants, &roomy);
+    assert_eq!(roomy_cache.evictions(), 0);
+
+    // A quarter of the campaign's working set: cells keep evicting, and
+    // the repeat run recompiles what was evicted.
+    let cap = roomy_cache.bytes() / 4;
+    let cache = Arc::new(ProgramCache::with_capacity(cap));
+    let pressed = CampaignConfig {
+        cache: Some(Arc::clone(&cache)),
+        ..config.clone()
+    };
+    let first = run_campaign(&program, &qubits, &spec, &mutants, &pressed);
+    let second = run_campaign(&program, &qubits, &spec, &mutants, &pressed);
+    assert!(cache.evictions() > 0, "the cap never bound");
+    assert!(cache.bytes() <= cap);
+    assert_eq!(roomy.to_json(), first.to_json());
+    assert_eq!(first.to_json(), second.to_json());
+}

@@ -202,10 +202,12 @@ impl Inner {
         };
         let cache = match &self.cache {
             Some(c) => format!(
-                "{{\"hits\":{},\"misses\":{},\"entries\":{}}}",
+                "{{\"hits\":{},\"misses\":{},\"entries\":{},\"bytes\":{},\"evictions\":{}}}",
                 c.hits(),
                 c.misses(),
-                c.entries()
+                c.entries(),
+                c.bytes(),
+                c.evictions()
             ),
             None => "null".to_string(),
         };
@@ -403,8 +405,10 @@ fn worker_loop(inner: &Inner) {
             Ok(Err(message)) => protocol::job_err(job.id, &message, false),
             Err(_) => protocol::job_err(job.id, "job panicked", false),
         };
-        respond(&job.reply, &line);
+        // Counted before the reply, so a client that has its answer
+        // always finds the job in `--status`.
         inner.metrics.job_finished(latency_us);
+        respond(&job.reply, &line);
     }
 }
 

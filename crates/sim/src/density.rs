@@ -10,7 +10,8 @@
 //! [`DensityMatrixSimulator::run`] (and `evolve`/`outcome_distribution`)
 //! lower the circuit through
 //! [`CompiledDensityProgram::compile`](crate::exec_density) and execute
-//! kernel conjugation pairs on the vectorized `vec(ρ)`; the original
+//! kernel conjugation pairs (gates) and monomial gather passes (Kraus
+//! terms) on the vectorized `vec(ρ)`; the original
 //! dense-matrix instruction walker survives as
 //! [`DensityMatrixSimulator::run_interpreted`] (and `*_interpreted`
 //! friends) — the reference implementation the compiled engine is tested
@@ -28,7 +29,7 @@
 //! historically disagreed at `1e-14` vs `1e-15`) therefore never changes a
 //! reachable distribution.
 
-use crate::exec_density::{apply_channel_vec, CompiledDensityProgram, DensityOp};
+use crate::exec_density::{apply_channel, CompiledDensityProgram, DensityOp};
 use crate::noise::{KrausChannel, NoiseModel};
 use crate::statevector::sample_cumulative;
 use crate::threads::resolve_threads;
@@ -587,7 +588,6 @@ fn run_vec_branches(program: &CompiledDensityProgram, threads: usize) -> Vec<Vec
         support: Support::full(),
     }];
     let mut scratch = PairScratch::default();
-    let mut term = Vec::new();
     let mut acc = Vec::new();
     // Kernels need positional `vec(ρ)` access, so compact post-measurement
     // branches are staged through one shared full-size buffer (allocated
@@ -612,21 +612,14 @@ fn run_vec_branches(program: &CompiledDensityProgram, threads: usize) -> Vec<Vec
                     }
                 }
             }
-            DensityOp::Channel { pairs, touched } => {
+            DensityOp::Channel { site, touched } => {
                 for b in &mut branches {
                     if b.support == Support::full() {
-                        apply_channel_vec(
-                            &mut b.rho,
-                            pairs,
-                            &mut term,
-                            &mut acc,
-                            &mut scratch,
-                            threads,
-                        );
+                        apply_channel(&mut b.rho, site, &mut acc, threads);
                     } else {
                         let stage = stage.get_or_insert_with(|| vec![C64::zero(); dd]);
                         expand(&b.rho, b.support, n, stage);
-                        apply_channel_vec(stage, pairs, &mut term, &mut acc, &mut scratch, threads);
+                        apply_channel(stage, site, &mut acc, threads);
                         let support = b.support.cleared(*touched);
                         b.rho = compress_and_zero(stage, support, n);
                         b.support = support;

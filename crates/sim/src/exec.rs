@@ -218,6 +218,15 @@ impl CompiledProgram {
         self.clifford
     }
 
+    /// Bytes the program keeps in its own buffers: itself, its op list and
+    /// its measurement table (the kernels' small matrix and index tables
+    /// are left out).
+    pub(crate) fn retained_bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
+            + self.ops.capacity() * std::mem::size_of::<ExecOp>()
+            + self.measures.capacity() * std::mem::size_of::<(usize, usize)>()
+    }
+
     /// Number of lowered ops (gates + measures + resets; barriers vanish).
     pub fn op_count(&self) -> usize {
         self.ops.len()

@@ -10,9 +10,14 @@
 //!   over the row-major vectorization `vec(ρ)` (a `2n`-qubit state vector),
 //!   so `X`/`CX` conjugations are pure index permutations and
 //!   `Z`/`S`/`T`/`Rz` conjugations are `O(4ⁿ)` phase sweeps;
-//! * every noise channel lowers once to a **sum** of conjugation pairs
-//!   (`ρ ← Σᵢ KᵢρKᵢ†`), applied per branch with reusable term/accumulator
-//!   buffers instead of per-branch re-embedding;
+//! * every Kraus operator lowers once per noise model to a
+//!   `MonomialTerm`: the operators the [`KrausChannel`] constructors
+//!   build (scaled Paulis, amplitude and phase damping) have at most one
+//!   nonzero entry per row, so each term is, per sub-row `r`, a source
+//!   sub-index `π(r)` and a weight `w_r`. A channel `ρ ← Σᵢ KᵢρKᵢ†` then
+//!   costs one read-only gather pass per term,
+//!   `acc[r·d+c] += (w_r·ρ[π(r)·d+π(c)])·conj(w_c)`, skipping zero-weight
+//!   rows and columns, with no copy of `vec(ρ)` and no kernel sweeps;
 //! * measure/reset lower to precomputed row/column bit masks over `vec(ρ)`;
 //! * the leading measurement-free run (gates *and* their noise channels —
 //!   density evolution is deterministic, so the whole run is cacheable) is
@@ -23,13 +28,39 @@
 //! walker up to the sign of zero, so compiled runs are bit-for-bit
 //! seed-compatible with the legacy interpreter — the contract
 //! `tests/density_identity.rs` enforces (see DESIGN.md).
+//!
+//! # Why the monomial pass is exact
+//!
+//! The dense walker (and the kernels) compute each term entry as complex
+//! products `conj(K[c][·])·(K[r][·]·ρ[·][·])` summed over a row of `K`.
+//! For a monomial operator:
+//!
+//! * the zero entries of a row contribute products that are exact `±0`,
+//!   which change a sum only in the sign of zero, so one product per row
+//!   and column side remains, and a zero-weight row or column contributes
+//!   nothing but signed zeros — skipping it is exact;
+//! * a real weight `x` turns `(x, ±0)·(a, b)` into `(x·a, x·b)` up to the
+//!   sign of zero; an imaginary weight `i·y` gives `(−y·b, y·a)`, and in
+//!   the conjugation the two phases cancel exactly (negation and swapping
+//!   are exact), so a term whose weights are all imaginary is stored with
+//!   their imaginary parts and applied as `(y_c·(y_r·a), y_c·(y_r·b))` —
+//!   the same two rounded multiplies per component, in the same order, as
+//!   the complex products;
+//! * each element's accumulation order `0 + t₀ + t₁ + …` (terms in
+//!   operator order) is unchanged, whatever the thread split.
+//!
+//! Closed-form channels (say `(1−p)ρ + p·Tr_q(ρ)⊗I/2`) and Hermitian
+//! mirroring (computing the upper triangle and conjugating) are
+//! deliberately not used: both change the arithmetic, and with it every
+//! fixed-seed noisy report.
 
 use crate::density::build_channel;
 use crate::noise::{KrausChannel, NoiseModel};
 use crate::SimError;
-use qra_circuit::kernel::{ConjugationPair, KernelClass, PairScratch};
+use qra_circuit::kernel::{ConjugationPair, KernelClass, PairScratch, PARALLEL_THRESHOLD_QUBITS};
 use qra_circuit::{Circuit, Gate, Operation};
-use qra_math::C64;
+use qra_math::{CMatrix, C64};
+use std::sync::Arc;
 
 /// Maximum width of the compiled density engine. `vec(ρ)` holds `4ⁿ`
 /// amplitudes (256 MiB at `n = 12`); the former dense-superoperator walker
@@ -62,11 +93,8 @@ pub(crate) enum DensityOp {
         pair: ConjugationPair,
         touched: usize,
     },
-    /// Apply a Kraus channel `ρ ← Σᵢ KᵢρKᵢ†` (operators in channel order).
-    Channel {
-        pairs: Vec<ConjugationPair>,
-        touched: usize,
-    },
+    /// Apply a Kraus channel `ρ ← Σᵢ KᵢρKᵢ†` (terms in operator order).
+    Channel { site: ChannelSite, touched: usize },
     /// Branch on the qubit whose row/column vectorization bits are
     /// `row_mask`/`col_mask`; record into `clbit_bit` of the outcome key
     /// (readout confusion applied from the program's baked-in rates).
@@ -147,34 +175,19 @@ impl CompiledDensityProgram {
             });
         }
 
-        // Lower each noise channel's Kraus set once; reused for every gate.
-        let depol1 = lower_channel(build_channel(
-            noise.depol_1q,
-            KrausChannel::depolarizing_1q,
-        )?);
-        let depol2 = lower_channel(build_channel(
-            noise.depol_2q,
-            KrausChannel::depolarizing_2q,
-        )?);
-        let damp1 = lower_channel(build_channel(
-            noise.damping_1q,
-            KrausChannel::amplitude_damping,
-        )?);
-        let damp2 = lower_channel(build_channel(
-            noise.damping_2q,
-            KrausChannel::amplitude_damping,
-        )?);
-        let deph = lower_channel(build_channel(noise.dephasing, KrausChannel::phase_damping)?);
+        // Lower each noise channel's Kraus set once; shared by every site.
+        let depol1 = lower_channel(noise.depol_1q, KrausChannel::depolarizing_1q)?;
+        let depol2 = lower_channel(noise.depol_2q, KrausChannel::depolarizing_2q)?;
+        let damp1 = lower_channel(noise.damping_1q, KrausChannel::amplitude_damping)?;
+        let damp2 = lower_channel(noise.damping_2q, KrausChannel::amplitude_damping)?;
+        let deph = lower_channel(noise.dephasing, KrausChannel::phase_damping)?;
 
         let mut ops = Vec::new();
         let push_channel =
-            |ops: &mut Vec<DensityOp>, ch: &Option<Vec<qra_math::CMatrix>>, qubits: &[usize]| {
-                if let Some(operators) = ch {
+            |ops: &mut Vec<DensityOp>, terms: &Option<Arc<[MonomialTerm]>>, qubits: &[usize]| {
+                if let Some(terms) = terms {
                     ops.push(DensityOp::Channel {
-                        pairs: operators
-                            .iter()
-                            .map(|k| ConjugationPair::lower(k, qubits, n))
-                            .collect(),
+                        site: ChannelSite::new(Arc::clone(terms), qubits, n),
                         touched: touched_bits(qubits, n),
                     });
                 }
@@ -233,16 +246,15 @@ impl CompiledDensityProgram {
         let mut prefix = vec![C64::zero(); dd];
         prefix[0] = C64::one();
         let mut scratch = PairScratch::default();
-        let mut term = Vec::new();
         let mut acc = Vec::new();
         for op in &ops[..prefix_len] {
             match op {
                 DensityOp::Conjugate { pair, .. } => pair.apply(&mut prefix, &mut scratch),
-                DensityOp::Channel { pairs, .. } => {
+                DensityOp::Channel { site, .. } => {
                     // Compile-time prefix evolution stays single-threaded:
                     // it runs once per program, and lowering has no thread
                     // configuration (results are identical either way).
-                    apply_channel_vec(&mut prefix, pairs, &mut term, &mut acc, &mut scratch, 1);
+                    apply_channel(&mut prefix, site, &mut acc, 1);
                 }
                 DensityOp::Measure { .. } | DensityOp::Reset { .. } => unreachable!(),
             }
@@ -274,6 +286,15 @@ impl CompiledDensityProgram {
         1usize << self.num_qubits
     }
 
+    /// Bytes the program keeps in its own buffers: itself, its op list and
+    /// the `16·4ⁿ`-byte prefix `vec(ρ)`, nearly all of it past a few qubits
+    /// (the kernels' and Kraus terms' small tables are left out).
+    pub(crate) fn retained_bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
+            + self.ops.capacity() * std::mem::size_of::<DensityOp>()
+            + self.prefix.capacity() * std::mem::size_of::<C64>()
+    }
+
     /// Number of lowered ops (gates + channels + measures + resets).
     pub fn op_count(&self) -> usize {
         self.ops.len()
@@ -284,8 +305,10 @@ impl CompiledDensityProgram {
         self.prefix_len
     }
 
-    /// Histogram of conjugation kernel classes (gates and Kraus operators),
-    /// for perf introspection.
+    /// Histogram of the gate conjugations' kernel classes (reset flips
+    /// included), for perf introspection. Kraus operators are monomial
+    /// terms, not kernels; [`CompiledDensityProgram::kraus_terms`] counts
+    /// them.
     pub fn class_histogram(&self) -> Vec<(KernelClass, usize)> {
         let mut counts = [0usize; 5];
         let mut bump = |class: KernelClass| {
@@ -300,8 +323,7 @@ impl CompiledDensityProgram {
         for op in &self.ops {
             match op {
                 DensityOp::Conjugate { pair, .. } => bump(pair.class()),
-                DensityOp::Channel { pairs, .. } => pairs.iter().for_each(|p| bump(p.class())),
-                DensityOp::Measure { .. } => {}
+                DensityOp::Channel { .. } | DensityOp::Measure { .. } => {}
                 DensityOp::Reset { flip, .. } => bump(flip.class()),
             }
         }
@@ -316,6 +338,18 @@ impl CompiledDensityProgram {
         .zip(counts)
         .filter(|&(_, c)| c > 0)
         .collect()
+    }
+
+    /// Number of lowered Kraus terms across every channel site (one per
+    /// operator per site), each one gather pass over `vec(ρ)`.
+    pub fn kraus_terms(&self) -> usize {
+        self.ops
+            .iter()
+            .map(|op| match op {
+                DensityOp::Channel { site, .. } => site.terms.len(),
+                _ => 0,
+            })
+            .sum()
     }
 
     pub(crate) fn ops(&self) -> &[DensityOp] {
@@ -335,36 +369,179 @@ impl CompiledDensityProgram {
     }
 }
 
-/// Borrows a built channel's Kraus operators for lowering, preserving
-/// `None` for zero-probability channels (no op emitted, like the
-/// interpreter's `apply_channel_opt` no-op path).
-fn lower_channel(channel: Option<KrausChannel>) -> Option<Vec<qra_math::CMatrix>> {
-    channel.map(|ch| ch.operators().to_vec())
+/// Builds the channel for probability `p` and lowers its Kraus operators
+/// to monomial terms, preserving `None` for zero-probability channels (no
+/// op emitted, like the interpreter's `apply_channel_opt` no-op path).
+fn lower_channel(
+    p: f64,
+    ctor: fn(f64) -> Result<KrausChannel, SimError>,
+) -> Result<Option<Arc<[MonomialTerm]>>, SimError> {
+    Ok(build_channel(p, ctor)?.map(|ch| {
+        ch.operators()
+            .iter()
+            .map(|k| MonomialTerm::lower(k).expect("noise-model Kraus operators are monomial"))
+            .collect()
+    }))
 }
 
+/// One Kraus operator lowered to a monomial conjugation: for each sub-row
+/// `r` (big-endian over the channel's qubits), the sub-index its only
+/// nonzero entry sits in and that entry's weight, `0.0` for an all-zero
+/// row. Weights are the entries' real parts, or their imaginary parts
+/// when every nonzero entry is imaginary (the common phase cancels in
+/// `KρK†`; see the module docs).
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct MonomialTerm {
+    rows: Vec<(usize, f64)>,
+}
+
+impl MonomialTerm {
+    /// Lowers `k`, or `None` when a row holds two nonzero entries, an
+    /// entry is neither real nor imaginary, or real and imaginary entries
+    /// mix (no [`KrausChannel`] constructor builds such an operator).
+    pub(crate) fn lower(k: &CMatrix) -> Option<MonomialTerm> {
+        let mut imaginary = None;
+        let mut rows = Vec::with_capacity(k.rows());
+        for r in 0..k.rows() {
+            let mut row = None;
+            for c in 0..k.cols() {
+                let z = k.get(r, c);
+                if z.re == 0.0 && z.im == 0.0 {
+                    continue;
+                }
+                let imag = match (z.re == 0.0, z.im == 0.0) {
+                    (_, true) => false,
+                    (true, false) => true,
+                    (false, false) => return None,
+                };
+                if row.is_some() || *imaginary.get_or_insert(imag) != imag {
+                    return None;
+                }
+                row = Some((c, if imag { z.im } else { z.re }));
+            }
+            rows.push(row.unwrap_or((0, 0.0)));
+        }
+        Some(MonomialTerm { rows })
+    }
+}
+
+/// A channel's terms placed on one qubit tuple of an `n`-qubit register.
+#[derive(Debug, Clone)]
+pub(crate) struct ChannelSite {
+    terms: Arc<[MonomialTerm]>,
+    /// Column-index bit of each tuple qubit, most significant sub-index
+    /// bit first (`n − 1 − q`); the row-index bit is `n` higher.
+    shifts: Vec<usize>,
+    /// Column-index bits each sub-index sets.
+    offsets: Vec<usize>,
+    /// All the tuple's column-index bits.
+    mask: usize,
+}
+
+impl ChannelSite {
+    fn new(terms: Arc<[MonomialTerm]>, qubits: &[usize], n: usize) -> ChannelSite {
+        let shifts: Vec<usize> = qubits.iter().map(|&q| n - 1 - q).collect();
+        let offsets = (0..1usize << qubits.len())
+            .map(|s| {
+                shifts
+                    .iter()
+                    .rev()
+                    .enumerate()
+                    .filter(|&(j, _)| (s >> j) & 1 == 1)
+                    .fold(0, |off, (_, &sh)| off | 1 << sh)
+            })
+            .collect();
+        let mask = shifts.iter().fold(0, |m, &sh| m | 1 << sh);
+        ChannelSite {
+            terms,
+            shifts,
+            offsets,
+            mask,
+        }
+    }
+
+    /// The sub-index of an `n`-bit row or column index.
+    fn sub(&self, x: usize) -> usize {
+        self.shifts
+            .iter()
+            .fold(0, |s, &sh| (s << 1) | ((x >> sh) & 1))
+    }
+
+    /// Writes the sum of every term's contribution, `0 + t₀ + t₁ + …` in
+    /// operator order, to the output rows starting at row `row0` (`out`
+    /// holds whole rows of `d` entries). Rows go in blocks small enough to
+    /// stay cache-resident while every term passes over them. Each term's
+    /// nonzero-weight columns are listed once, as (output column, source
+    /// column, weight), so a row is one gather-scale-add over that list.
+    fn accumulate_rows(&self, rho: &[C64], n: usize, row0: usize, out: &mut [C64]) {
+        let d = 1usize << n;
+        let columns: Vec<Vec<(u32, u32, f64)>> = self
+            .terms
+            .iter()
+            .map(|term| {
+                (0..d)
+                    .filter_map(|c| {
+                        let (src, w) = term.rows[self.sub(c)];
+                        let from = (c & !self.mask) | self.offsets[src];
+                        (w != 0.0).then_some((c as u32, from as u32, w))
+                    })
+                    .collect()
+            })
+            .collect();
+        let block_rows = (BLOCK_ENTRIES / d).max(1);
+        for (b, out_block) in out.chunks_mut(block_rows * d).enumerate() {
+            // Zeroed here, while the block is about to be hot anyway.
+            out_block.fill(C64::zero());
+            for (term, columns) in self.terms.iter().zip(&columns) {
+                for (i, out_row) in out_block.chunks_exact_mut(d).enumerate() {
+                    let r = row0 + b * block_rows + i;
+                    let (src_r, wr) = term.rows[self.sub(r)];
+                    if wr == 0.0 {
+                        continue;
+                    }
+                    let src_row = ((r & !self.mask) | self.offsets[src_r]) << n;
+                    let src_row = &rho[src_row..src_row + d];
+                    for &(c, from, wc) in columns {
+                        let (o, a) = (&mut out_row[c as usize], src_row[from as usize]);
+                        o.re += wc * (wr * a.re);
+                        o.im += wc * (wr * a.im);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Output entries per row block of the monomial pass (16 KiB of `vec(ρ)`).
+const BLOCK_ENTRIES: usize = 1 << 10;
+
 /// Applies a lowered Kraus channel to `vec_rho` in place:
-/// `ρ ← Σᵢ KᵢρKᵢ†` with the terms accumulated in operator order, matching
-/// the interpreter's `acc = 0 + K₀ρK₀† + K₁ρK₁† + …` fold bit-for-bit
-/// (up to the sign of zero). `term`/`acc` are reusable buffers grown on
-/// demand.
-pub(crate) fn apply_channel_vec(
+/// `ρ ← Σᵢ KᵢρKᵢ†`, each term one gather pass from `vec_rho` into `acc`
+/// (zeroed block by block, then swapped in), terms in operator order —
+/// matching the interpreter's `acc = 0 + K₀ρK₀† + K₁ρK₁† + …` fold
+/// bit-for-bit up to the sign of zero. At `2^`[`PARALLEL_THRESHOLD_QUBITS`]
+/// entries and above, `threads` workers each own a contiguous block of
+/// output rows; every entry's arithmetic is the same at any thread count.
+pub(crate) fn apply_channel(
     vec_rho: &mut Vec<C64>,
-    pairs: &[ConjugationPair],
-    term: &mut Vec<C64>,
+    site: &ChannelSite,
     acc: &mut Vec<C64>,
-    scratch: &mut PairScratch,
     threads: usize,
 ) {
     let dd = vec_rho.len();
-    term.resize(dd, C64::zero());
-    acc.clear();
+    let n = dd.trailing_zeros() as usize / 2;
+    let d = 1usize << n;
     acc.resize(dd, C64::zero());
-    for pair in pairs {
-        term.copy_from_slice(vec_rho);
-        pair.apply_threaded(term, scratch, threads);
-        for (a, t) in acc.iter_mut().zip(term.iter()) {
-            *a += *t;
-        }
+    let rho = vec_rho.as_slice();
+    if threads <= 1 || dd < (1 << PARALLEL_THRESHOLD_QUBITS) {
+        site.accumulate_rows(rho, n, 0, acc);
+    } else {
+        let rows = d.div_ceil(threads.min(d));
+        std::thread::scope(|s| {
+            for (t, block) in acc.chunks_mut(rows * d).enumerate() {
+                s.spawn(move || site.accumulate_rows(rho, n, t * rows, block));
+            }
+        });
     }
     std::mem::swap(vec_rho, acc);
 }
@@ -373,6 +550,8 @@ pub(crate) fn apply_channel_vec(
 mod tests {
     use super::*;
     use crate::noise::DevicePreset;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn ideal_circuit_lowers_to_conjugations_only() {
@@ -435,10 +614,175 @@ mod tests {
         let mut c = Circuit::new(2);
         c.x(0).rz(0.3, 1);
         let mut noise = NoiseModel::ideal();
-        noise.dephasing = 0.01; // 2 Kraus operators per 1q gate, all diagonal
+        noise.dephasing = 0.01; // 2 Kraus operators per 1q gate
         let p = CompiledDensityProgram::compile(&c, &noise).unwrap();
         let hist = p.class_histogram();
-        assert!(hist.contains(&(KernelClass::Permutation, 1))); // X
-        assert!(hist.contains(&(KernelClass::Diagonal, 1 + 4))); // Rz + 2×K
+        // Gate conjugations only: Kraus operators are not kernels.
+        assert_eq!(
+            hist,
+            vec![(KernelClass::Diagonal, 1), (KernelClass::Permutation, 1)]
+        ); // Rz, X
+        assert_eq!(p.kraus_terms(), 2 * 2);
+    }
+
+    /// Every operator the four constructors build lowers, and the lowered
+    /// term reproduces the matrix: each row's only nonzero entry sits at
+    /// the recorded source, and its real part (or, for an all-imaginary
+    /// operator, its imaginary part) is the weight.
+    #[test]
+    fn every_constructor_lowers_to_monomial_terms() {
+        type Ctor = fn(f64) -> Result<KrausChannel, SimError>;
+        let ctors: [(&str, Ctor); 4] = [
+            ("depolarizing_1q", KrausChannel::depolarizing_1q),
+            ("depolarizing_2q", KrausChannel::depolarizing_2q),
+            ("amplitude_damping", KrausChannel::amplitude_damping),
+            ("phase_damping", KrausChannel::phase_damping),
+        ];
+        for (name, ctor) in ctors {
+            for p in [1e-3, 0.5, 1.0] {
+                for k in ctor(p).unwrap().operators() {
+                    let term = MonomialTerm::lower(k)
+                        .unwrap_or_else(|| panic!("{name}({p}): operator not monomial"));
+                    let imaginary = k.as_slice().iter().any(|z| z.im != 0.0);
+                    for (r, &(src, w)) in term.rows.iter().enumerate() {
+                        for c in 0..k.cols() {
+                            let z = k.get(r, c);
+                            let expect = if w != 0.0 && c == src { w } else { 0.0 };
+                            let (part, other) = if imaginary {
+                                (z.im, z.re)
+                            } else {
+                                (z.re, z.im)
+                            };
+                            assert_eq!((part, other), (expect, 0.0), "{name}({p}) [{r}][{c}]");
+                        }
+                    }
+                }
+            }
+        }
+        // Two entries in a row, a complex entry, or mixed phases: no term.
+        let h = CMatrix::from_real(2, 2, &[1.0, 1.0, 1.0, -1.0]);
+        let s = CMatrix::new(2, 2, vec![C64::one(), C64::zero(), C64::zero(), C64::i()]);
+        let c = CMatrix::new(
+            2,
+            2,
+            vec![C64::new(1.0, 1.0), C64::zero(), C64::zero(), C64::one()],
+        );
+        for k in [h, s, c] {
+            assert_eq!(MonomialTerm::lower(&k), None);
+        }
+    }
+
+    /// The application the monomial pass replaces, kept here as the
+    /// reference: per operator, copy `vec(ρ)`, run the left and right
+    /// kernel sweeps of its conjugation pair, accumulate.
+    fn reference_channel(
+        rho: &[C64],
+        operators: &[CMatrix],
+        qubits: &[usize],
+        n: usize,
+    ) -> Vec<C64> {
+        let mut acc = vec![C64::zero(); rho.len()];
+        let mut term = vec![C64::zero(); rho.len()];
+        let mut scratch = PairScratch::default();
+        for k in operators {
+            term.copy_from_slice(rho);
+            ConjugationPair::lower(k, qubits, n).apply(&mut term, &mut scratch);
+            for (a, t) in acc.iter_mut().zip(&term) {
+                *a += *t;
+            }
+        }
+        acc
+    }
+
+    /// `f64` bits with `−0` mapped to `+0`: equality up to the sign of zero.
+    fn bits(v: &[C64]) -> Vec<(u64, u64)> {
+        let canon = |x: f64| if x == 0.0 { 0 } else { x.to_bits() };
+        v.iter().map(|z| (canon(z.re), canon(z.im))).collect()
+    }
+
+    /// Random `vec(ρ)` inputs for an `n`-qubit register: a Hermitian one,
+    /// and an arbitrary complex one with exact zeros of either sign mixed
+    /// in, which lets the pass skip rows and columns around them.
+    fn inputs(n: usize, rng: &mut StdRng) -> [Vec<C64>; 2] {
+        let d = 1usize << n;
+        let mut random = || C64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0));
+        let mut hermitian = vec![C64::zero(); d * d];
+        for r in 0..d {
+            hermitian[r * d + r] = C64::from(random().re);
+            for c in r + 1..d {
+                let z = random();
+                hermitian[r * d + c] = z;
+                hermitian[c * d + r] = z.conj();
+            }
+        }
+        let complex = (0..d * d)
+            .map(|i| match i % 7 {
+                1 => C64::new(-0.0, 0.0),
+                4 => C64::new(0.0, -0.0),
+                _ => random(),
+            })
+            .collect();
+        [hermitian, complex]
+    }
+
+    /// The monomial pass equals the reference up to the sign of zero for
+    /// all four constructors at `p ∈ {1e-3, 0.5, 1}` (`γ = λ = 1` leave a
+    /// zero row) and every one- and two-qubit placement, reversed pairs
+    /// included, at each register width in `sizes` and each thread count.
+    /// The reference runs sequentially: its threaded kernels are
+    /// bit-identical to it.
+    fn check_channels_against_reference(sizes: std::ops::RangeInclusive<usize>, threads: &[usize]) {
+        type Ctor = fn(f64) -> Result<KrausChannel, SimError>;
+        let ctors: [(Ctor, usize); 4] = [
+            (KrausChannel::depolarizing_1q, 1),
+            (KrausChannel::depolarizing_2q, 2),
+            (KrausChannel::amplitude_damping, 1),
+            (KrausChannel::phase_damping, 1),
+        ];
+        let mut rng = StdRng::seed_from_u64(0x006b_7261_7573);
+        for n in sizes {
+            let mut placements: Vec<Vec<usize>> = (0..n).map(|q| vec![q]).collect();
+            for a in 0..n {
+                placements.extend((0..n).filter(|&b| b != a).map(|b| vec![a, b]));
+            }
+            let rhos = inputs(n, &mut rng);
+            for (ctor, width) in ctors {
+                for p in [1e-3, 0.5, 1.0] {
+                    let channel = ctor(p).unwrap();
+                    let terms: Arc<[MonomialTerm]> = channel
+                        .operators()
+                        .iter()
+                        .map(|k| MonomialTerm::lower(k).unwrap())
+                        .collect();
+                    for qubits in placements.iter().filter(|q| q.len() == width) {
+                        let site = ChannelSite::new(Arc::clone(&terms), qubits, n);
+                        for rho in &rhos {
+                            let expect =
+                                bits(&reference_channel(rho, channel.operators(), qubits, n));
+                            for &t in threads {
+                                let mut got = rho.clone();
+                                apply_channel(&mut got, &site, &mut Vec::new(), t);
+                                assert_eq!(
+                                    bits(&got),
+                                    expect,
+                                    "n={n} p={p} qubits={qubits:?} threads={t}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kraus_differential_monomial_pass_matches_conjugation_pairs() {
+        check_channels_against_reference(1..=4, &[1]);
+    }
+
+    /// From `n = 5` (`4⁵` entries) the threaded row split engages.
+    #[test]
+    fn kraus_differential_thread_matrix() {
+        check_channels_against_reference(5..=6, &[1, 2, 4]);
     }
 }
