@@ -10,7 +10,8 @@
 //!   two-term superpositions such as GHZ);
 //! * an arbitrary `n`-qubit unitary — [`two_level::unitary_circuit`]
 //!   (`O(4ⁿ)` CX via two-level Givens reduction and Gray-code
-//!   multi-controlled gates);
+//!   multi-controlled gates), or only its gate counts and its inverse's,
+//!   up to a CX bound — [`two_level::unitary_pair_counts`];
 //! * controlled diagonal ±1 unitaries — [`diagonal::diagonal_pm_one`]
 //!   (algebraic-normal-form reduction to multi-controlled Z gates, giving
 //!   the paper's `n`-CX NDD circuits for parity state sets).
@@ -27,5 +28,5 @@ pub use diagonal::{diagonal_pm_one, is_diagonal_pm_one};
 pub use mc_gate::{mc_unitary, mcx, ControlState};
 pub use multiplexed::{multiplexed_ry, multiplexed_rz};
 pub use state_prep::prepare_state;
-pub use two_level::unitary_circuit;
+pub use two_level::{unitary_circuit, unitary_pair_counts};
 pub use zyz::{zyz_decompose, ZyzAngles};

@@ -6,9 +6,14 @@
 //! controlled single-qubit gate. The CX count is `O(4ⁿ)`, the general
 //! bound the paper cites; special states hit the fast paths in the sibling
 //! modules instead.
+//!
+//! [`unitary_circuit`] emits that decomposition into one circuit;
+//! [`unitary_pair_counts`] runs the same emitter one two-level operation
+//! at a time and keeps only the gate counts of `U` and `U⁻¹`, stopping
+//! once their CX total reaches a bound.
 
 use crate::synthesis::mc_gate::{mc_unitary, mcx, Control, ControlState};
-use crate::{Circuit, CircuitError, Gate};
+use crate::{Circuit, CircuitError, Gate, GateCounts};
 use qra_math::{CMatrix, C64};
 
 const TOL: f64 = 1e-10;
@@ -30,6 +35,89 @@ const TOL: f64 = 1e-10;
 /// # Ok::<(), qra_circuit::CircuitError>(())
 /// ```
 pub fn unitary_circuit(u: &CMatrix) -> Result<Circuit, CircuitError> {
+    match decompose(u)? {
+        Synthesis::Direct(c) => Ok(c),
+        Synthesis::TwoLevel(n, ops) => {
+            let mut c = Circuit::new(n);
+            for op in &ops {
+                emit_two_level(&mut c, n, op)?;
+            }
+            Ok(c)
+        }
+    }
+}
+
+/// The gate counts of [`unitary_circuit`]`(u)` and of its inverse
+/// together, without building either circuit: the same emitter writes one
+/// two-level operation at a time into a scratch circuit, and each chunk
+/// and its inverse are counted with [`GateCounts::of`]. Both counts are
+/// sums over instructions and inverting maps instructions one to one, so
+/// the total is exact. Returns `None` as soon as the running CX total
+/// reaches `cx_bound`, that is, exactly when the full total's CX count is
+/// at least `cx_bound`; `usize::MAX` never stops early.
+///
+/// # Errors
+///
+/// Those of [`unitary_circuit`].
+///
+/// ```rust
+/// use qra_circuit::{Gate, GateCounts, synthesis::{unitary_circuit, unitary_pair_counts}};
+///
+/// let swap = Gate::Swap.matrix();
+/// let built = unitary_circuit(&swap)?;
+/// let exact = GateCounts::of(&built)? + GateCounts::of(&built.inverse()?)?;
+/// assert_eq!(unitary_pair_counts(&swap, usize::MAX)?, Some(exact));
+/// assert_eq!(unitary_pair_counts(&swap, exact.cx)?, None);
+/// # Ok::<(), qra_circuit::CircuitError>(())
+/// ```
+pub fn unitary_pair_counts(
+    u: &CMatrix,
+    cx_bound: usize,
+) -> Result<Option<GateCounts>, CircuitError> {
+    let mut total = GateCounts::default();
+    let mut add = |chunk: &Circuit| -> Result<bool, CircuitError> {
+        total = total + GateCounts::of(chunk)? + GateCounts::of(&chunk.inverse()?)?;
+        Ok(total.cx < cx_bound)
+    };
+    match decompose(u)? {
+        Synthesis::Direct(c) => {
+            if !add(&c)? {
+                return Ok(None);
+            }
+        }
+        Synthesis::TwoLevel(n, ops) => {
+            for op in &ops {
+                let mut chunk = Circuit::new(n);
+                emit_two_level(&mut chunk, n, op)?;
+                if !add(&chunk)? {
+                    return Ok(None);
+                }
+            }
+        }
+    }
+    Ok(Some(total))
+}
+
+/// How [`unitary_circuit`] realises a unitary.
+enum Synthesis {
+    /// A fast path's whole circuit.
+    Direct(Circuit),
+    /// The general path: the qubit count and the two-level operations, in
+    /// emission order.
+    TwoLevel(usize, Vec<TwoLevel>),
+}
+
+/// A two-level operation acting on basis indices `i` (role `|0⟩`) and `j`
+/// (role `|1⟩`) with a 2×2 block.
+struct TwoLevel {
+    i: usize,
+    j: usize,
+    block: CMatrix,
+}
+
+/// Validates `u` and picks its synthesis: a fast path, or the two-level
+/// decomposition of the general path.
+fn decompose(u: &CMatrix) -> Result<Synthesis, CircuitError> {
     let n = qra_math::qubits_for_dim(u.rows())?;
     if !u.is_unitary(1e-8) {
         return Err(CircuitError::NotUnitary { deviation: 1.0 });
@@ -39,14 +127,14 @@ pub fn unitary_circuit(u: &CMatrix) -> Result<Circuit, CircuitError> {
     if n == 1 {
         let mut c = Circuit::new(1);
         crate::synthesis::mc_gate::apply_1q(&mut c, 0, u);
-        return Ok(c);
+        return Ok(Synthesis::Direct(c));
     }
     // Fast path: diagonal ±1.
     if let Some(signs) = crate::synthesis::diagonal::is_diagonal_pm_one(u, TOL) {
         let mut c = Circuit::new(n);
         let qubits: Vec<usize> = (0..n).collect();
         crate::synthesis::diagonal::diagonal_pm_one(&mut c, &qubits, &signs)?;
-        return Ok(c);
+        return Ok(Synthesis::Direct(c));
     }
     // Fast path: tensor product of single-qubit gates.
     if let Some(factors) = crate::synthesis::diagonal::try_factor_tensor(u) {
@@ -54,24 +142,18 @@ pub fn unitary_circuit(u: &CMatrix) -> Result<Circuit, CircuitError> {
         for (q, f) in factors.iter().enumerate() {
             crate::synthesis::mc_gate::apply_1q(&mut c, q, f);
         }
-        return Ok(c);
+        return Ok(Synthesis::Direct(c));
     }
 
-    general_two_level(u, n)
+    Ok(Synthesis::TwoLevel(n, general_two_level(u)))
 }
 
-/// A two-level operation acting on basis indices `i < j` with a 2×2 block.
-#[derive(Debug, Clone)]
-struct TwoLevel {
-    i: usize,
-    j: usize,
-    block: CMatrix,
-}
-
-fn general_two_level(u: &CMatrix, n: usize) -> Result<Circuit, CircuitError> {
+/// The two-level operations whose product is `u` up to global phase, in
+/// circuit order.
+fn general_two_level(u: &CMatrix) -> Vec<TwoLevel> {
     let d = u.rows();
     let mut work = u.clone();
-    let mut ops: Vec<TwoLevel> = Vec::new();
+    let mut givens: Vec<TwoLevel> = Vec::new();
 
     // Reduce `work` to a diagonal of phases with left-multiplied two-level
     // Givens rotations: G_m … G_1 · U = D. Then U = G_1† … G_m† · D.
@@ -86,7 +168,7 @@ fn general_two_level(u: &CMatrix, n: usize) -> Result<Circuit, CircuitError> {
             // V = [[a*, b*], [−b, a]]/s zeroes (row,col) and makes (col,col)=s.
             let v = CMatrix::new(2, 2, vec![a.conj() / s, b.conj() / s, -b / s, a / s]);
             apply_two_level_left(&mut work, col, row, &v);
-            ops.push(TwoLevel {
+            givens.push(TwoLevel {
                 i: col,
                 j: row,
                 block: v,
@@ -103,19 +185,24 @@ fn general_two_level(u: &CMatrix, n: usize) -> Result<Circuit, CircuitError> {
         *p -= p0;
     }
 
-    let mut circuit = Circuit::new(n);
-    // Emit U = (Π G_k†, reversed) · D; circuit order is D first.
+    // U = (Π G_k†, reversed) · D; circuit order is D first.
     // D as two-level diagonals diag(1, e^{iφ_j}) on pairs (0, j).
-    for (j, &phi) in phases.iter().enumerate().skip(1) {
-        if phi.abs() > TOL {
-            let block = CMatrix::diagonal(&[C64::one(), C64::cis(phi)]);
-            emit_two_level(&mut circuit, n, 0, j, &block)?;
-        }
-    }
-    for op in ops.iter().rev() {
-        emit_two_level(&mut circuit, n, op.i, op.j, &op.block.adjoint())?;
-    }
-    Ok(circuit)
+    let mut ops: Vec<TwoLevel> = phases
+        .iter()
+        .enumerate()
+        .skip(1)
+        .filter(|(_, phi)| phi.abs() > TOL)
+        .map(|(j, &phi)| TwoLevel {
+            i: 0,
+            j,
+            block: CMatrix::diagonal(&[C64::one(), C64::cis(phi)]),
+        })
+        .collect();
+    ops.extend(givens.iter().rev().map(|g| TwoLevel {
+        block: g.block.adjoint(),
+        ..*g
+    }));
+    ops
 }
 
 /// Left-multiplies `m` by the two-level unitary acting on rows `i`, `j`.
@@ -128,15 +215,9 @@ fn apply_two_level_left(m: &mut CMatrix, i: usize, j: usize, v: &CMatrix) {
     }
 }
 
-/// Emits the circuit for a two-level unitary acting on basis states `i`
-/// (role `|0⟩`) and `j` (role `|1⟩`) with the given 2×2 block.
-fn emit_two_level(
-    circuit: &mut Circuit,
-    n: usize,
-    i: usize,
-    j: usize,
-    block: &CMatrix,
-) -> Result<(), CircuitError> {
+/// Emits the circuit for the two-level operation `op` on `n` qubits.
+fn emit_two_level(circuit: &mut Circuit, n: usize, op: &TwoLevel) -> Result<(), CircuitError> {
+    let TwoLevel { i, j, ref block } = *op;
     debug_assert_ne!(i, j);
     // Gray-code walk from i towards j, leaving one differing bit.
     let diff = i ^ j;
@@ -286,6 +367,106 @@ mod tests {
         p.set(0, 2, C64::one());
         p.set(3, 3, C64::one());
         roundtrip(&p);
+    }
+
+    /// `unitary_pair_counts` against counting `unitary_circuit`'s output
+    /// and its inverse: equal when unbounded, and with a bound `None`
+    /// exactly when that total's CX count reaches it.
+    fn check_pair_counts(u: &CMatrix) {
+        let built = unitary_circuit(u).unwrap();
+        let full =
+            GateCounts::of(&built).unwrap() + GateCounts::of(&built.inverse().unwrap()).unwrap();
+        assert_eq!(unitary_pair_counts(u, usize::MAX).unwrap(), Some(full));
+        let cx = full.cx;
+        for bound in [0, 1, cx / 2, cx.saturating_sub(1), cx, cx + 1, 2 * cx + 1] {
+            assert_eq!(
+                unitary_pair_counts(u, bound).unwrap(),
+                (cx < bound).then_some(full),
+                "dim {}, bound {bound}, full {full}",
+                u.rows()
+            );
+        }
+    }
+
+    /// The permutation matrix whose column `c` is `|cols[c]⟩`.
+    fn permutation(cols: &[usize]) -> CMatrix {
+        let d = cols.len();
+        CMatrix::from_fn(d, d, |r, c| {
+            if cols[c] == r {
+                C64::one()
+            } else {
+                C64::zero()
+            }
+        })
+    }
+
+    /// A basis-state set's completed basis: the set, then the remaining
+    /// indices in ascending order (the order basis completion adds them).
+    fn completed(set: &[usize], d: usize) -> Vec<usize> {
+        let mut order = set.to_vec();
+        order.extend((0..d).filter(|i| !set.contains(i)));
+        order
+    }
+
+    #[test]
+    fn pair_counts_match_random_unitaries() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(33);
+        for n in 1..=4 {
+            check_pair_counts(&random_unitary(n, &mut rng));
+        }
+    }
+
+    #[test]
+    fn pair_counts_match_plan_permutations() {
+        for n in 3..=6 {
+            let d = 1usize << n;
+            // Superset pair of {0, 3, 5}: the completed basis, then the
+            // same with the two pad states swapped.
+            let mut order = completed(&[0, 3, 5], d);
+            check_pair_counts(&permutation(&order));
+            order[3..5].rotate_left(1);
+            check_pair_counts(&permutation(&order));
+            // Extension of {0, …, 2ⁿ⁻¹}: |0⟩⊗correct, |1⟩⊗incorrect, then
+            // their complements, over the extension ancilla.
+            let t = d / 2 + 1;
+            let order = completed(&(0..t).collect::<Vec<_>>(), d);
+            let (correct, incorrect) = order.split_at(t);
+            let ext: Vec<usize> = correct
+                .iter()
+                .copied()
+                .chain(incorrect.iter().map(|j| d + j))
+                .chain(correct.iter().map(|i| d + i))
+                .chain(incorrect.iter().copied())
+                .collect();
+            check_pair_counts(&permutation(&ext));
+        }
+    }
+
+    #[test]
+    fn pair_counts_match_phases_and_fast_paths() {
+        let mut p = CMatrix::zeros(4, 4);
+        p.set(1, 0, C64::one());
+        p.set(2, 1, C64::one());
+        p.set(0, 2, C64::one());
+        p.set(3, 3, C64::one());
+        let phases = CMatrix::diagonal(&[C64::one(), C64::cis(0.4), C64::cis(-1.3), C64::cis(2.2)]);
+        let tensor = Gate::H.matrix().kron(&Gate::U3(0.7, 0.2, 1.9).matrix());
+        for u in [
+            p,
+            phases,
+            Gate::U3(0.7, 0.2, 1.9).matrix(),
+            Gate::Cz.matrix(),
+            tensor,
+        ] {
+            check_pair_counts(&u);
+        }
+    }
+
+    #[test]
+    fn pair_counts_reject_what_synthesis_rejects() {
+        let bad = CMatrix::from_real(2, 2, &[1.0, 1.0, 0.0, 1.0]);
+        assert!(unitary_pair_counts(&bad, usize::MAX).is_err());
+        assert!(unitary_pair_counts(&CMatrix::identity(3), 0).is_err());
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! `sweep status --json`.
 
 use std::fs;
+use std::ops::{Deref, DerefMut};
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, Command, Output, Stdio};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -54,7 +55,45 @@ fn wait_for_socket(socket: &Path) {
     panic!("daemon never bound {}", socket.display());
 }
 
-fn spawn_daemon(socket: &Path, workers: &str) -> Child {
+/// A spawned daemon that is killed and reaped on drop if it is still
+/// running, so a failing assertion cannot leave it alive.
+struct Daemon(Option<Child>);
+
+impl Daemon {
+    /// Waits for the daemon to exit and collects its stdout.
+    fn wait_with_output(mut self) -> std::io::Result<Output> {
+        self.0
+            .take()
+            .expect("held until waited on")
+            .wait_with_output()
+    }
+}
+
+impl Deref for Daemon {
+    type Target = Child;
+    fn deref(&self) -> &Child {
+        self.0.as_ref().expect("held until waited on")
+    }
+}
+
+impl DerefMut for Daemon {
+    fn deref_mut(&mut self) -> &mut Child {
+        self.0.as_mut().expect("held until waited on")
+    }
+}
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        if let Some(mut child) = self.0.take() {
+            if matches!(child.try_wait(), Ok(None)) {
+                let _ = child.kill();
+            }
+            let _ = child.wait();
+        }
+    }
+}
+
+fn spawn_daemon(socket: &Path, workers: &str) -> Daemon {
     let daemon = qra()
         .args([
             "serve",
@@ -69,6 +108,7 @@ fn spawn_daemon(socket: &Path, workers: &str) -> Child {
         .stderr(Stdio::inherit())
         .spawn()
         .unwrap();
+    let daemon = Daemon(Some(daemon));
     wait_for_socket(socket);
     daemon
 }

@@ -10,7 +10,7 @@
 use crate::logical_or::{build_or_assertion, OrFlag};
 use crate::ndd::{build_ndd, build_ndd_assertion};
 use crate::plan::{AssertionPlan, StepGlue};
-use crate::spec::StateSpec;
+use crate::spec::{CorrectStates, StateSpec};
 use crate::swap::{build_swap_assertion, BuiltAssertion, SwapPlacement};
 use crate::AssertionError;
 use qra_circuit::{Circuit, GateCounts};
@@ -105,10 +105,17 @@ impl Assertion {
 }
 
 /// The three designs [`Design::Auto`] chooses among, evaluated for one
-/// spec from one basis completion and at most one [`AssertionPlan`]. NDD
-/// is built outright, since its circuit is what it costs. SWAP and
-/// logical-OR are costed from the plan's parts (`U⁻¹`, `U` and each
-/// design's per-step glue) and only the design chosen is assembled.
+/// spec from one set of correct states and at most one [`AssertionPlan`].
+/// NDD is built outright, since its circuit is what it costs. SWAP and
+/// logical-OR are priced from the plan's parts (`U⁻¹`, `U` and each
+/// design's per-step glue), from `U`'s circuits only when NDD built them,
+/// and only the design chosen is assembled.
+///
+/// [`Candidates::new`] prices every design exactly.
+/// [`Candidates::bounded`], which [`Design::Auto`] uses, prices SWAP and
+/// logical-OR only until their `U⁻¹` and `U` reach NDD's CX count: both
+/// designs cost at least that, and a later candidate wins only with
+/// strictly fewer CX, so a design priced that far cannot win.
 ///
 /// ```rust
 /// use qra_core::{Candidates, Design, StateSpec};
@@ -128,61 +135,77 @@ pub struct Candidates {
     num_test: usize,
     plan: Result<AssertionPlan, AssertionError>,
     ndd: Result<Assertion, AssertionError>,
-    logical_or: Result<GateCounts, AssertionError>,
-    swap: Result<GateCounts, AssertionError>,
+    /// `Ok(None)` when priced out: its `U⁻¹` and `U` reach `bound` CX.
+    logical_or: Result<Option<GateCounts>, AssertionError>,
+    /// As `logical_or`.
+    swap: Result<Option<GateCounts>, AssertionError>,
+    /// The CX count at which pricing stops; `usize::MAX` prices in full.
+    bound: usize,
 }
 
 impl Candidates {
-    /// Completes `spec`'s basis once, builds NDD and the shared plan, and
-    /// costs SWAP and logical-OR. A failure of one design is kept as that
-    /// design's result; only a spec that yields no correct states fails
-    /// here.
+    /// Derives `spec`'s correct states, builds NDD and the shared plan,
+    /// and prices SWAP and logical-OR exactly. A failure of one design is
+    /// kept as that design's result; only a spec that yields no correct
+    /// states fails here.
     ///
     /// # Errors
     ///
     /// Everything [`StateSpec::correct_states`] can return.
     pub fn new(spec: &StateSpec) -> Result<Candidates, AssertionError> {
-        let cs = spec.correct_states()?;
+        Ok(Candidates::price(&spec.correct_states()?, false))
+    }
+
+    /// [`Design::Auto`]'s candidates: as [`Candidates::new`], but SWAP and
+    /// logical-OR are priced only until their `U⁻¹` and `U` reach NDD's CX
+    /// count, and [`Candidates::counts`] reports such a design as
+    /// [`AssertionError::Unsupported`]. When NDD fails there is no bound.
+    pub fn bounded(cs: &CorrectStates) -> Candidates {
+        Candidates::price(cs, true)
+    }
+
+    fn price(cs: &CorrectStates, bounded: bool) -> Candidates {
         let shared = OnceCell::new();
-        let ndd = build_ndd(&cs, &shared).and_then(|built| Assertion::counted(built, Design::Ndd));
+        let ndd = build_ndd(cs, &shared).and_then(|built| Assertion::counted(built, Design::Ndd));
         let plan = shared
             .into_inner()
-            .unwrap_or_else(|| AssertionPlan::build(&cs));
+            .unwrap_or_else(|| AssertionPlan::build(cs));
+        let bound = match &ndd {
+            Ok(ndd) if bounded => ndd.gate_counts().cx,
+            _ => usize::MAX,
+        };
         let costs = |plan: &AssertionPlan| -> Result<_, AssertionError> {
-            let parts = plan.part_counts()?;
+            let Some(parts) = plan.part_counts(bound)? else {
+                return Ok((Ok(None), Ok(None)));
+            };
             Ok((
-                plan.predict_counts(&parts, &OrFlag::Recursive),
-                plan.predict_counts(&parts, &SwapPlacement::Optimized),
+                plan.predict_counts(&parts, &OrFlag::Recursive).map(Some),
+                plan.predict_counts(&parts, &SwapPlacement::Optimized)
+                    .map(Some),
             ))
         };
         let (logical_or, swap) = match plan.as_ref().map_err(Clone::clone).and_then(costs) {
             Ok(pair) => pair,
             Err(e) => (Err(e.clone()), Err(e)),
         };
-        Ok(Candidates {
+        Candidates {
             num_test: cs.num_qubits(),
             plan,
             ndd,
             logical_or,
             swap,
-        })
+            bound,
+        }
     }
 
-    /// The gate counts of `design`'s circuit, or why that design cannot be
-    /// synthesised.
-    ///
-    /// # Errors
-    ///
-    /// The design's own synthesis failure, or
-    /// [`AssertionError::Unsupported`] for [`Design::Auto`], which has no
-    /// circuit of its own ([`Candidates::cheapest`] names the design it
-    /// picks).
-    pub fn counts(&self, design: Design) -> Result<GateCounts, AssertionError> {
+    /// `design`'s counts, `None` when it was priced out, or why it cannot
+    /// be synthesised.
+    fn priced(&self, design: Design) -> Result<Option<GateCounts>, AssertionError> {
         match design {
             Design::Ndd => self
                 .ndd
                 .as_ref()
-                .map(Assertion::gate_counts)
+                .map(|a| Some(a.gate_counts()))
                 .map_err(Clone::clone),
             Design::LogicalOr => self.logical_or.clone(),
             Design::Swap => self.swap.clone(),
@@ -193,10 +216,32 @@ impl Candidates {
         }
     }
 
+    /// The gate counts of `design`'s circuit, or why that design cannot be
+    /// synthesised.
+    ///
+    /// # Errors
+    ///
+    /// The design's own synthesis failure,
+    /// [`AssertionError::Unsupported`] for a design that
+    /// [`Candidates::bounded`] priced out, or for [`Design::Auto`], which
+    /// has no circuit of its own ([`Candidates::cheapest`] names the design
+    /// it picks).
+    pub fn counts(&self, design: Design) -> Result<GateCounts, AssertionError> {
+        self.priced(design)?
+            .ok_or_else(|| AssertionError::Unsupported {
+                scheme: "auto",
+                reason: format!(
+                    "{design} was priced only until it reached NDD's {} CX",
+                    self.bound
+                ),
+            })
+    }
+
     /// The paper's `design = NONE` rule: the design with the fewest
     /// entangling gates. Candidates are tried in the fixed preference
     /// order Ndd > LogicalOr > Swap and a later one wins only when
-    /// strictly cheaper, so CX-count ties resolve deterministically.
+    /// strictly cheaper, so CX-count ties resolve deterministically. A
+    /// design priced out costs at least NDD's CX count and is passed over.
     ///
     /// # Errors
     ///
@@ -206,12 +251,13 @@ impl Candidates {
         let mut best: Option<(Design, usize)> = None;
         let mut failures = Vec::new();
         for d in [Design::Ndd, Design::LogicalOr, Design::Swap] {
-            match self.counts(d) {
-                Ok(c) => {
+            match self.priced(d) {
+                Ok(Some(c)) => {
                     if best.is_none_or(|(_, cx)| c.cx < cx) {
                         best = Some((d, c.cx));
                     }
                 }
+                Ok(None) => {}
                 Err(e) => failures.push((d, Box::new(e))),
             }
         }
@@ -252,8 +298,8 @@ impl Candidates {
 }
 
 /// Synthesises an assertion circuit for `spec` with the requested design.
-/// [`Design::Auto`] goes through [`Candidates`], so only the chosen
-/// design's circuit is built.
+/// [`Design::Auto`] goes through [`Candidates::bounded`], so only the
+/// chosen design's circuit is built.
 ///
 /// # Errors
 ///
@@ -272,7 +318,7 @@ impl Candidates {
 /// ```
 pub fn synthesize_assertion(spec: &StateSpec, design: Design) -> Result<Assertion, AssertionError> {
     let built = match design {
-        Design::Auto => return Candidates::new(spec)?.into_assertion(),
+        Design::Auto => return Candidates::bounded(&spec.correct_states()?).into_assertion(),
         Design::Swap => build_swap_assertion(&spec.correct_states()?)?,
         Design::LogicalOr => build_or_assertion(&spec.correct_states()?)?,
         Design::Ndd => build_ndd_assertion(&spec.correct_states()?)?,

@@ -129,7 +129,7 @@ pub mod primitive {
                 let cs = spec.correct_states().ok()?;
                 let dim = cs.dim();
                 let mut even = vec![false; dim];
-                for v in &cs.basis[..cs.t] {
+                for v in cs.correct() {
                     let idx = basis_index(v)?;
                     even[idx] = true;
                 }
@@ -310,12 +310,18 @@ pub mod proq {
             });
         }
         let plan = AssertionPlan::build(&cs)?;
+        // Synthesise every step before the host circuit changes.
+        let steps = plan
+            .steps
+            .iter()
+            .map(|step| Ok((step, step.circuits()?)))
+            .collect::<Result<Vec<_>, AssertionError>>()?;
         let cl_base = circuit.num_clbits();
         let mut clbits = Vec::new();
         let mut next_cl = cl_base;
         let mut anc_base = circuit.num_qubits();
 
-        for step in &plan.steps {
+        for (step, (u, u_inv)) in steps {
             let mut map: Vec<usize> = Vec::with_capacity(step.n_local);
             if step.has_extension {
                 circuit.expand_qubits(anc_base + 1);
@@ -324,13 +330,13 @@ pub mod proq {
             }
             map.extend_from_slice(qubits);
             circuit.expand_clbits(next_cl + step.checked.len());
-            circuit.compose(&step.u_inv, &map, &[])?;
+            circuit.compose(u_inv, &map, &[])?;
             for &local in &step.checked {
                 circuit.measure(map[local], next_cl)?;
                 clbits.push(next_cl);
                 next_cl += 1;
             }
-            circuit.compose(&step.u, &map, &[])?;
+            circuit.compose(u, &map, &[])?;
         }
         Ok(ProqHandle { clbits })
     }

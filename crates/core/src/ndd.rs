@@ -94,31 +94,37 @@ fn append_controlled_u(
     // gives U = u · D · u⁻¹ with D = +1 exactly on the checked-zeros
     // subspace, and ctrl-D factors into Z(anc) and ONE multi-controlled Z
     // firing when anc = 1 and all checked qubits read 0 — far cheaper than
-    // a general basis-change synthesis.
-    if let Ok(plan) = plan.get_or_init(|| AssertionPlan::build(cs)) {
-        if plan.steps.len() == 1 && !plan.steps[0].has_extension {
+    // a general basis-change synthesis. A plan whose `u` fails to
+    // synthesise falls through like a failed plan.
+    let single_step = match plan.get_or_init(|| AssertionPlan::build(cs)) {
+        Ok(plan) if plan.steps.len() == 1 && !plan.steps[0].has_extension => {
             let step = &plan.steps[0];
-            let test_map: Vec<usize> = (0..k).collect();
-            circuit.compose(&step.u_inv, &test_map, &[])?;
-            circuit.z(anc);
-            // MCZ: anc closed, all checked qubits open; realise the last
-            // checked qubit as an X-wrapped target.
-            let (&target, rest) = step
-                .checked
-                .split_last()
-                .expect("checked is never empty for t < 2^n");
-            let mut controls: Vec<Control> = vec![(anc, ControlState::Closed)];
-            controls.extend(rest.iter().map(|&q| (q, ControlState::Open)));
-            circuit.x(target);
-            mc_unitary(circuit, &controls, target, &Gate::Z.matrix())?;
-            circuit.x(target);
-            circuit.compose(&step.u, &test_map, &[])?;
-            return Ok(());
+            step.circuits()
+                .ok()
+                .map(|circuits| (&step.checked, circuits))
         }
+        _ => None,
+    };
+    if let Some((checked, (u, u_inv))) = single_step {
+        let test_map: Vec<usize> = (0..k).collect();
+        circuit.compose(u_inv, &test_map, &[])?;
+        circuit.z(anc);
+        // MCZ: anc closed, all checked qubits open; realise the last
+        // checked qubit as an X-wrapped target.
+        let (&target, rest) = checked
+            .split_last()
+            .expect("checked is never empty for t < 2^n");
+        let mut controls: Vec<Control> = vec![(anc, ControlState::Closed)];
+        controls.extend(rest.iter().map(|&q| (q, ControlState::Open)));
+        circuit.x(target);
+        mc_unitary(circuit, &controls, target, &Gate::Z.matrix())?;
+        circuit.x(target);
+        circuit.compose(u, &test_map, &[])?;
+        return Ok(());
     }
 
     // Strategy 4 (fallback): W† · ctrl-D · W with a general basis change.
-    let w = cs.basis_matrix();
+    let w = cs.basis_matrix()?;
     let w_circ = unitary_circuit(&w)?;
     let w_inv_circ = w_circ.inverse()?;
     let test_map: Vec<usize> = (0..k).collect();
@@ -127,7 +133,7 @@ fn append_controlled_u(
     let dim = cs.dim();
     let mut ext = vec![false; 2 * dim];
     for (i, slot) in ext.iter_mut().enumerate().skip(dim) {
-        *slot = (i - dim) >= cs.t;
+        *slot = (i - dim) >= cs.t();
     }
     let mut qubits = vec![anc];
     qubits.extend(0..k);

@@ -18,6 +18,11 @@
 //! synthesises `U` as a CNOT/X network, reproducing the paper's hand
 //! costs (e.g. 2-CX `U` for the GHZ approximate set `{|000⟩, |111⟩}`).
 //!
+//! Otherwise a step's `U` comes from the general two-level synthesis of
+//! its basis change `W`. The step keeps `W` as a matrix and synthesises
+//! `U` and `U⁻¹` only when a reader needs the circuits
+//! ([`SingleStep::circuits`]); pricing a design needs only their counts.
+//!
 //! The designs differ only in the glue (`StepGlue`) placed between each
 //! step's `U⁻¹` and `U`. `AssertionPlan::assemble` builds a design's
 //! circuit from it, and `AssertionPlan::predict_counts` costs the same
@@ -26,9 +31,10 @@
 use crate::spec::CorrectStates;
 use crate::swap::BuiltAssertion;
 use crate::AssertionError;
-use qra_circuit::synthesis::{prepare_state, unitary_circuit};
+use qra_circuit::synthesis::{prepare_state, unitary_circuit, unitary_pair_counts};
 use qra_circuit::{Circuit, GateCounts};
 use qra_math::{CMatrix, CVector, C64};
+use std::sync::OnceLock;
 
 const TOL: f64 = 1e-9;
 
@@ -44,10 +50,75 @@ pub struct SingleStep {
     /// Local indices that must read `|0⟩` after `U⁻¹` when the assertion
     /// passes.
     pub checked: Vec<usize>,
-    /// The restoring unitary `U` as a circuit over the local qubits.
-    pub u: Circuit,
-    /// `U⁻¹` as a circuit over the local qubits.
-    pub u_inv: Circuit,
+    /// The general path's basis change `W`, whose two-level synthesis is
+    /// `U`; `None` on the fast paths, which build `U` outright.
+    basis_change: Option<CMatrix>,
+    /// `(U, U⁻¹)` as circuits over the local qubits, from the fast path or
+    /// from the first [`SingleStep::circuits`] call.
+    circuits: OnceLock<(Circuit, Circuit)>,
+}
+
+impl SingleStep {
+    /// A step whose restoring unitary `u` a fast path built.
+    fn built(
+        n_local: usize,
+        has_extension: bool,
+        checked: Vec<usize>,
+        u: Circuit,
+        u_inv: Circuit,
+    ) -> SingleStep {
+        SingleStep {
+            n_local,
+            has_extension,
+            checked,
+            basis_change: None,
+            circuits: OnceLock::from((u, u_inv)),
+        }
+    }
+
+    /// The restoring unitary `U` and `U⁻¹`, as circuits over the local
+    /// qubits; a general-path step synthesises them from `W` on the first
+    /// call and keeps them.
+    ///
+    /// # Errors
+    ///
+    /// A synthesis failure of `U`.
+    pub fn circuits(&self) -> Result<(&Circuit, &Circuit), AssertionError> {
+        if self.circuits.get().is_none() {
+            let u = unitary_circuit(self.w())?;
+            let u_inv = u.inverse()?;
+            let _ = self.circuits.set((u, u_inv));
+        }
+        let (u, u_inv) = self.circuits.get().expect("filled above");
+        Ok((u, u_inv))
+    }
+
+    /// The general path's basis change `W`, whose two-level synthesis is
+    /// `U`; `None` for a step a fast path built.
+    pub fn basis_change(&self) -> Option<&CMatrix> {
+        self.basis_change.as_ref()
+    }
+
+    fn w(&self) -> &CMatrix {
+        self.basis_change
+            .as_ref()
+            .expect("a step without circuits keeps its W")
+    }
+
+    /// The counts of `U⁻¹` and `U` together: from the circuits when they
+    /// are built, else from the count-only emitter. `None` when the CX
+    /// total reaches `cx_bound`.
+    fn part_counts(&self, cx_bound: usize) -> Result<Option<GateCounts>, AssertionError> {
+        let part = if let Some((u, u_inv)) = self.circuits.get() {
+            GateCounts::of(u_inv)? + GateCounts::of(u)?
+        } else {
+            match unitary_pair_counts(self.w(), cx_bound)? {
+                Some(part) => part,
+                None => return Ok(None),
+            }
+        };
+        Ok((part.cx < cx_bound).then_some(part))
+    }
 }
 
 /// A plan built at most once, on first use, and shared by every design
@@ -72,7 +143,7 @@ impl AssertionPlan {
     pub fn build(cs: &CorrectStates) -> Result<AssertionPlan, AssertionError> {
         let dim = cs.dim();
         let n = cs.num_qubits();
-        let t = cs.t;
+        let t = cs.t();
         debug_assert!(t >= 1 && t < dim);
 
         let half = dim / 2;
@@ -84,7 +155,7 @@ impl AssertionPlan {
         // Product-projector fast path: when the correct subspace factors
         // per qubit (e.g. |++⟩⟨++| ⊗ I for the Deutsch–Jozsa constant set,
         // Fig. 20), `U` is a tensor of one-qubit gates — no entanglers.
-        if let Some(step) = try_product_projector(&cs.basis[..t], n)? {
+        if let Some(step) = try_product_projector(cs.correct(), n)? {
             return Ok(AssertionPlan { steps: vec![step] });
         }
         // Selector-multiplexed fast path: two correct states living in
@@ -92,13 +163,13 @@ impl AssertionPlan {
         // {|++++⟩|0⟩, |θ₄⟩|1⟩} of §IX-A3) synthesise as a controlled pair
         // of state preparations.
         if t == 2 {
-            if let Some(step) = try_selector_multiplexed(&cs.basis[..2], n)? {
+            if let Some(step) = try_selector_multiplexed(cs.correct(), n)? {
                 return Ok(AssertionPlan { steps: vec![step] });
             }
         }
         if t.is_power_of_two() && t <= half {
             return Ok(AssertionPlan {
-                steps: vec![subspace_step(&cs.basis, t, n, false)?],
+                steps: vec![subspace_step(cs.basis()?, t, n, false)?],
             });
         }
         if t > half || (dim == 2 && t == 1) {
@@ -113,7 +184,7 @@ impl AssertionPlan {
         let m_plus = t.next_power_of_two();
         let k = m_plus - t;
         debug_assert!(t + 2 * k <= dim, "superset padding must fit");
-        let mut basis1 = cs.basis.clone();
+        let mut basis1 = cs.basis()?.to_vec();
         // S1 keeps order: correct ∪ incorrect[0..k].
         let step1 = subspace_step(&basis1, m_plus, n, false)?;
         // S2: correct ∪ incorrect[k..2k]; swap the pad blocks.
@@ -168,9 +239,10 @@ impl AssertionPlan {
             next_ancilla += n_glue;
             let checked: Vec<usize> = step.checked.iter().map(|&c| map[c]).collect();
 
-            circuit.compose(&step.u_inv, &map, &[])?;
+            let (u, u_inv) = step.circuits()?;
+            circuit.compose(u_inv, &map, &[])?;
             glue.emit(&mut circuit, &checked, &ancillas)?;
-            circuit.compose(&step.u, &map, &[])?;
+            circuit.compose(u, &map, &[])?;
             for &a in &ancillas[..glue.measured(checked.len())] {
                 circuit.measure(a, next_clbit)?;
                 next_clbit += 1;
@@ -188,12 +260,23 @@ impl AssertionPlan {
     }
 
     /// Per-step counts of `U⁻¹` and `U` together: the part of every §IV
-    /// design's cost that does not depend on its glue.
-    pub(crate) fn part_counts(&self) -> Result<Vec<GateCounts>, AssertionError> {
-        self.steps
-            .iter()
-            .map(|s| Ok(GateCounts::of(&s.u_inv)? + GateCounts::of(&s.u)?))
-            .collect()
+    /// design's cost that does not depend on its glue. `None` once their
+    /// CX total reaches `cx_bound` (`usize::MAX` never stops): every §IV
+    /// design then costs at least `cx_bound` CX.
+    pub(crate) fn part_counts(
+        &self,
+        cx_bound: usize,
+    ) -> Result<Option<Vec<GateCounts>>, AssertionError> {
+        let mut parts = Vec::with_capacity(self.steps.len());
+        let mut cx = 0;
+        for step in &self.steps {
+            let Some(part) = step.part_counts(cx_bound - cx)? else {
+                return Ok(None);
+            };
+            cx += part.cx;
+            parts.push(part);
+        }
+        Ok(Some(parts))
     }
 
     /// The counts [`AssertionPlan::assemble`] with `glue` would report,
@@ -245,15 +328,9 @@ pub(crate) trait StepGlue {
 /// `t = 1`: prepare-state synthesis, all qubits checked.
 fn pure_step(cs: &CorrectStates) -> Result<SingleStep, AssertionError> {
     let n = cs.num_qubits();
-    let u = prepare_state(&cs.basis[0])?;
+    let u = prepare_state(&cs.correct()[0])?;
     let u_inv = u.inverse()?;
-    Ok(SingleStep {
-        n_local: n,
-        has_extension: false,
-        checked: (0..n).collect(),
-        u,
-        u_inv,
-    })
+    Ok(SingleStep::built(n, false, (0..n).collect(), u, u_inv))
 }
 
 /// `t = 2^m`: synthesise `U` mapping `|0…0 x⟩ → ψ_x`; check the leading
@@ -270,27 +347,18 @@ fn subspace_step(
     // Linear-coset fast path for classical correct sets (may pick a
     // cheaper set of checked qubits than the leading ones).
     if let Some((u, u_inv, checked)) = try_linear_coset(basis, t, n)? {
-        return Ok(SingleStep {
-            n_local: n,
-            has_extension,
-            checked,
-            u,
-            u_inv,
-        });
+        return Ok(SingleStep::built(n, has_extension, checked, u, u_inv));
     }
-    let checked: Vec<usize> = (0..n - m).collect();
 
-    // General path: full basis-change unitary W = Σ|ψ_i⟩⟨i|.
+    // General path: full basis-change unitary W = Σ|ψ_i⟩⟨i|, synthesised
+    // when a reader needs `U`.
     let d = basis.len();
-    let w = qra_math::CMatrix::from_fn(d, d, |r, c| basis[c].amplitude(r));
-    let u = unitary_circuit(&w)?;
-    let u_inv = u.inverse()?;
     Ok(SingleStep {
         n_local: n,
         has_extension,
-        checked,
-        u,
-        u_inv,
+        checked: (0..n - m).collect(),
+        basis_change: Some(CMatrix::from_fn(d, d, |r, c| basis[c].amplitude(r))),
+        circuits: OnceLock::new(),
     })
 }
 
@@ -299,25 +367,26 @@ fn subspace_step(
 fn extension_step(cs: &CorrectStates) -> Result<SingleStep, AssertionError> {
     let dim = cs.dim();
     let n = cs.num_qubits();
-    let t = cs.t;
+    let t = cs.t();
+    let basis = cs.basis()?;
     let ext_dim = 2 * dim;
     let e0 = CVector::basis_state(2, 0);
     let e1 = CVector::basis_state(2, 1);
 
     // Correct-ext: |0⟩⊗ψ_i (i < t) plus |1⟩⊗ψ_j (j ≥ t) until 2ⁿ states.
     let mut ext_basis: Vec<CVector> = Vec::with_capacity(ext_dim);
-    for v in &cs.basis[..t] {
+    for v in &basis[..t] {
         ext_basis.push(e0.kron(v));
     }
-    for v in &cs.basis[t..] {
+    for v in &basis[t..] {
         ext_basis.push(e1.kron(v));
     }
     debug_assert_eq!(ext_basis.len(), dim);
     // Incorrect-ext: the orthogonal complement.
-    for v in &cs.basis[..t] {
+    for v in &basis[..t] {
         ext_basis.push(e1.kron(v));
     }
-    for v in &cs.basis[t..] {
+    for v in &basis[t..] {
         ext_basis.push(e0.kron(v));
     }
     debug_assert_eq!(ext_basis.len(), ext_dim);
@@ -439,13 +508,7 @@ pub(crate) fn try_product_projector(
             }
         }
     }
-    Ok(Some(SingleStep {
-        n_local: n,
-        has_extension: false,
-        checked,
-        u,
-        u_inv,
-    }))
+    Ok(Some(SingleStep::built(n, false, checked, u, u_inv)))
 }
 
 /// Fast path for `t = 2`: if a *selector* qubit `s` exists such that the
@@ -521,13 +584,7 @@ fn try_selector_multiplexed(
         let map: Vec<usize> = (0..n).collect();
         u.compose(&second, &map, &[])?;
         let u_inv = u.inverse()?;
-        return Ok(Some(SingleStep {
-            n_local: n,
-            has_extension: false,
-            checked: others,
-            u,
-            u_inv,
-        }));
+        return Ok(Some(SingleStep::built(n, false, others, u, u_inv)));
     }
     Ok(None)
 }
@@ -714,9 +771,12 @@ fn computational_index(v: &CVector) -> Option<usize> {
 /// circuit must act as identity (used in tests).
 #[doc(hidden)]
 pub fn verify_step_roundtrip(step: &SingleStep) -> bool {
-    let mut c = step.u.clone();
+    let Ok((u, u_inv)) = step.circuits() else {
+        return false;
+    };
+    let mut c = u.clone();
     let map: Vec<usize> = (0..step.n_local).collect();
-    if c.compose(&step.u_inv, &map, &[]).is_err() {
+    if c.compose(u_inv, &map, &[]).is_err() {
         return false;
     }
     match c.unitary_matrix() {
@@ -757,7 +817,7 @@ mod tests {
         assert!(!step.has_extension);
         assert!(verify_step_roundtrip(step));
         // U|0…0⟩ must equal the GHZ state.
-        let sv = step.u.statevector().unwrap();
+        let sv = step.circuits().unwrap().0.statevector().unwrap();
         assert!(sv.approx_eq_up_to_phase(&ghz(), 1e-8));
     }
 
@@ -768,11 +828,11 @@ mod tests {
         let plan = AssertionPlan::build(&cs).unwrap();
         let step = &plan.steps[0];
         assert_eq!(step.checked.len(), 2);
-        let counts = qra_circuit::GateCounts::of(&step.u).unwrap();
+        let counts = qra_circuit::GateCounts::of(step.circuits().unwrap().0).unwrap();
         assert_eq!(counts.cx, 2, "paper's Fig 1 accounting: 2-CX U");
         assert!(verify_step_roundtrip(step));
         // U⁻¹ maps both correct states to indices whose checked qubits are 0.
-        let m = step.u_inv.unitary_matrix().unwrap();
+        let m = step.circuits().unwrap().1.unitary_matrix().unwrap();
         let n = 3usize;
         for idx in [0usize, 7] {
             let out = m.mul_vec(&CVector::basis_state(8, idx));
@@ -794,7 +854,7 @@ mod tests {
         let plan = AssertionPlan::build(&cs).unwrap();
         let step = &plan.steps[0];
         assert_eq!(step.checked.len(), 1);
-        let counts = qra_circuit::GateCounts::of(&step.u).unwrap();
+        let counts = qra_circuit::GateCounts::of(step.circuits().unwrap().0).unwrap();
         assert!(
             counts.cx <= 1,
             "affine fast path expected, got {}",
@@ -818,12 +878,12 @@ mod tests {
             .unwrap()
             .correct_states()
             .unwrap();
-        assert_eq!(cs.t, 2);
+        assert_eq!(cs.t(), 2);
         let plan = AssertionPlan::build(&cs).unwrap();
         let step = &plan.steps[0];
         assert!(verify_step_roundtrip(step));
         // U must map |00⟩ and |01⟩ onto the correct span.
-        let m = step.u.unitary_matrix().unwrap();
+        let m = step.circuits().unwrap().0.unitary_matrix().unwrap();
         for i in 0..2 {
             let out = m.mul_vec(&CVector::basis_state(4, i));
             assert!(cs.accepts(&out, 1e-7), "column {i} escaped correct span");
@@ -841,7 +901,7 @@ mod tests {
             .add(&CMatrix::outer(&e(2), &e(2)).scale(C64::from(0.25)))
             .unwrap();
         let cs = StateSpec::mixed(rho).unwrap().correct_states().unwrap();
-        assert_eq!(cs.t, 3);
+        assert_eq!(cs.t(), 3);
         let plan = AssertionPlan::build(&cs).unwrap();
         assert_eq!(plan.steps.len(), 2, "rank 3 needs a superset pair");
         for step in &plan.steps {
@@ -851,7 +911,7 @@ mod tests {
         // Each correct state must pass BOTH steps (map into the subspace).
         for idx in [0usize, 1, 2] {
             for step in &plan.steps {
-                let m = step.u_inv.unitary_matrix().unwrap();
+                let m = step.circuits().unwrap().1.unitary_matrix().unwrap();
                 let out = m.mul_vec(&e(idx));
                 let leading_zero: f64 = out.probabilities()[..4].iter().sum();
                 assert!(
@@ -861,8 +921,18 @@ mod tests {
             }
         }
         // At least one incorrect state must fail at least one step.
-        let m1 = plan.steps[0].u_inv.unitary_matrix().unwrap();
-        let m2 = plan.steps[1].u_inv.unitary_matrix().unwrap();
+        let m1 = plan.steps[0]
+            .circuits()
+            .unwrap()
+            .1
+            .unitary_matrix()
+            .unwrap();
+        let m2 = plan.steps[1]
+            .circuits()
+            .unwrap()
+            .1
+            .unitary_matrix()
+            .unwrap();
         let mut some_reject = false;
         for idx in 3..8 {
             let p1: f64 = m1.mul_vec(&e(idx)).probabilities()[..4].iter().sum();
@@ -878,7 +948,7 @@ mod tests {
     fn high_rank_uses_extension_ancilla() {
         // t = 3 of dim 4 (2^{n−1} = 2 < 3): extension case.
         let cs = classical_set(2, &[0, 1, 2]);
-        assert_eq!(cs.t, 3);
+        assert_eq!(cs.t(), 3);
         let plan = AssertionPlan::build(&cs).unwrap();
         assert_eq!(plan.steps.len(), 1);
         let step = &plan.steps[0];
@@ -887,7 +957,7 @@ mod tests {
         assert_eq!(step.checked, vec![0]);
         assert!(verify_step_roundtrip(step));
         // With the extension ancilla in |0⟩, correct states map to leading 0.
-        let m = step.u_inv.unitary_matrix().unwrap();
+        let m = step.circuits().unwrap().1.unitary_matrix().unwrap();
         for idx in [0usize, 1, 2] {
             let input = CVector::basis_state(2, 0).kron(&CVector::basis_state(4, idx));
             let out = m.mul_vec(&input);
@@ -922,12 +992,12 @@ mod tests {
             .unwrap()
             .correct_states()
             .unwrap();
-        assert_eq!(cs.t, 2);
+        assert_eq!(cs.t(), 2);
         let plan = AssertionPlan::build(&cs).unwrap();
         assert_eq!(plan.steps.len(), 1);
         let step = &plan.steps[0];
         assert_eq!(step.checked, vec![0, 1]);
-        let counts = qra_circuit::GateCounts::of(&step.u).unwrap();
+        let counts = qra_circuit::GateCounts::of(step.circuits().unwrap().0).unwrap();
         assert_eq!(counts.cx, 0, "product projector U needs no entanglers");
         assert!(counts.sg <= 2);
         assert!(verify_step_roundtrip(step));
@@ -948,7 +1018,7 @@ mod tests {
         let step = &plan.steps[0];
         assert_eq!(step.checked, vec![0]);
         // U⁻¹ maps members into the checked-zero subspace.
-        let m = step.u_inv.unitary_matrix().unwrap();
+        let m = step.circuits().unwrap().1.unitary_matrix().unwrap();
         let out = m.mul_vec(&a);
         let bad: f64 = out
             .probabilities()
@@ -965,7 +1035,7 @@ mod tests {
         // Bell-pair span {|00⟩, |11⟩} is NOT a per-qubit product projector
         // (its reduced factors are maximally mixed, so A⊗B/t ≠ P).
         let cs = classical_set(2, &[0, 3]);
-        let got = try_product_projector(&cs.basis[..cs.t], 2).unwrap();
+        let got = try_product_projector(cs.correct(), 2).unwrap();
         assert!(got.is_none());
     }
 
@@ -976,7 +1046,7 @@ mod tests {
         let plan = AssertionPlan::build(&cs).unwrap();
         let step = &plan.steps[0];
         assert_eq!(step.checked, vec![0]);
-        let counts = qra_circuit::GateCounts::of(&step.u).unwrap();
+        let counts = qra_circuit::GateCounts::of(step.circuits().unwrap().0).unwrap();
         assert_eq!(counts.cx, 0);
         assert!(counts.sg <= 2);
     }

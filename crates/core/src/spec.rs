@@ -6,10 +6,13 @@
 //! states as "incorrect". [`StateSpec::correct_states`] performs that
 //! reduction: pure states pass through, density matrices are
 //! eigendecomposed, and state sets are averaged into a density matrix
-//! first (approximate assertion, §IV-D).
+//! first (approximate assertion, §IV-D). The completion itself waits for
+//! its first reader ([`CorrectStates::basis`]): many constructions read
+//! only the correct states, and a rank-1 spec never needs the rest.
 
 use crate::AssertionError;
-use qra_math::{complete_basis, hermitian_eigen, CMatrix, CVector, C64};
+use qra_math::{complete_basis, hermitian_eigen, orthonormalize, CMatrix, CVector, MathError, C64};
+use std::sync::OnceLock;
 
 /// Eigenvalue threshold below which a density-matrix eigenstate is
 /// considered absent (rank counting).
@@ -134,16 +137,21 @@ impl StateSpec {
     }
 
     /// Reduces the specification to the paper's canonical form: `t`
-    /// orthonormal correct states completed to a full basis.
+    /// orthonormal correct states, completed to a full basis when a reader
+    /// first asks for it ([`CorrectStates::basis`]).
     ///
     /// # Errors
     ///
     /// * [`AssertionError::Unassertable`] when `t = 2ⁿ`;
-    /// * [`AssertionError::Math`] on numerical failure.
+    /// * [`AssertionError::Math`] on numerical failure. A failure of the
+    ///   basis completion (which cannot happen for valid inputs) surfaces
+    ///   from the completion's first reader instead, unless
+    ///   orthonormalisation drops a correct state and the basis is
+    ///   completed here.
     pub fn correct_states(&self) -> Result<CorrectStates, AssertionError> {
         let dim = self.dim();
         let n = self.num_qubits();
-        let correct: Vec<CVector> = match self {
+        let seeds: Vec<CVector> = match self {
             StateSpec::Pure(v) => vec![v.clone()],
             _ => {
                 let rho = self.density();
@@ -156,43 +164,114 @@ impl StateSpec {
                     .collect()
             }
         };
-        let t = correct.len();
-        if t == dim {
+        if seeds.len() == dim {
             return Err(AssertionError::Unassertable { num_qubits: n });
         }
-        debug_assert!(t >= 1, "density matrix must have at least one eigenstate");
-        let basis = complete_basis(&correct, dim)?;
-        Ok(CorrectStates { basis, t })
+        debug_assert!(
+            !seeds.is_empty(),
+            "density matrix must have at least one eigenstate"
+        );
+        CorrectStates::from_seeds(seeds, dim)
     }
 }
 
-/// The canonical decomposition: a full orthonormal basis with the `t`
-/// "correct" states leading.
+/// The canonical decomposition: `t` orthonormal "correct" states, which
+/// lead a full orthonormal basis of the `2ⁿ`-dimensional space whose
+/// other states are incorrect.
+///
+/// The full basis is completed by [`complete_basis`] on its first read,
+/// through [`CorrectStates::basis`] or [`CorrectStates::basis_matrix`], and
+/// kept. Those readers are the §IV plan's subspace, superset-pair and
+/// extension steps and NDD's general fallback; the pure, product-projector
+/// and selector plans, [`CorrectStates::ndd_unitary`] and
+/// [`CorrectStates::accepts`] read only the correct states.
 #[derive(Debug, Clone)]
 pub struct CorrectStates {
-    /// Full orthonormal basis of the `2ⁿ`-dimensional space; entries
-    /// `0..t` are correct, the rest incorrect.
-    pub basis: Vec<CVector>,
-    /// The rank `t` (number of correct states).
-    pub t: usize,
+    /// The states the completion starts from: the pure state, or the
+    /// density matrix's eigenvectors above [`RANK_TOL`].
+    seeds: Vec<CVector>,
+    /// The leading `t` states of the basis.
+    correct: Vec<CVector>,
+    /// Hilbert-space dimension.
+    dim: usize,
+    /// The full basis, filled on first read.
+    basis: OnceLock<Result<Vec<CVector>, MathError>>,
 }
 
 impl CorrectStates {
+    /// The first `seeds.len()` states of `complete_basis(&seeds, dim)`,
+    /// with the rest of that basis left for its first reader.
+    fn from_seeds(seeds: Vec<CVector>, dim: usize) -> Result<CorrectStates, AssertionError> {
+        let t = seeds.len();
+        // `complete_basis` opens with this same orthonormalisation, so
+        // these are bit for bit the leading states of the completed basis.
+        let mut correct = orthonormalize(&seeds)?;
+        let basis = OnceLock::new();
+        if correct.len() < t {
+            // A dropped state leaves its slot to a completion vector, so
+            // the leading `t` states need the completion now.
+            let full = complete_basis(&seeds, dim)?;
+            correct = full[..t].to_vec();
+            let _ = basis.set(Ok(full));
+        }
+        Ok(CorrectStates {
+            seeds,
+            correct,
+            dim,
+            basis,
+        })
+    }
+
     /// Hilbert-space dimension.
     pub fn dim(&self) -> usize {
-        self.basis.len()
+        self.dim
     }
 
     /// Number of qubits.
     pub fn num_qubits(&self) -> usize {
-        qra_math::qubits_for_dim(self.dim()).expect("basis length is a power of two")
+        qra_math::qubits_for_dim(self.dim).expect("dimension is a power of two")
+    }
+
+    /// The rank `t` (number of correct states).
+    pub fn t(&self) -> usize {
+        self.correct.len()
+    }
+
+    /// The `t` orthonormal correct states: the leading entries of
+    /// [`CorrectStates::basis`], without completing it.
+    pub fn correct(&self) -> &[CVector] {
+        &self.correct
+    }
+
+    /// The full orthonormal basis: entries `0..t` are the correct states,
+    /// the rest incorrect. Completed on the first call and kept.
+    ///
+    /// # Errors
+    ///
+    /// [`AssertionError::Math`] when the completion fails, which cannot
+    /// happen for valid inputs (kept as a defensive check).
+    pub fn basis(&self) -> Result<&[CVector], AssertionError> {
+        self.basis
+            .get_or_init(|| complete_basis(&self.seeds, self.dim))
+            .as_deref()
+            .map_err(|e| AssertionError::Math(e.clone()))
+    }
+
+    /// `true` once some reader has completed the basis.
+    pub fn basis_completed(&self) -> bool {
+        self.basis.get().is_some()
     }
 
     /// The basis-change unitary `W = Σᵢ |ψᵢ⟩⟨i|` whose columns are the
     /// basis states (`W` maps `|i⟩` to `|ψᵢ⟩`; `W†` is the paper's `U⁻¹`).
-    pub fn basis_matrix(&self) -> CMatrix {
-        let d = self.dim();
-        CMatrix::from_fn(d, d, |r, c| self.basis[c].amplitude(r))
+    ///
+    /// # Errors
+    ///
+    /// Those of [`CorrectStates::basis`].
+    pub fn basis_matrix(&self) -> Result<CMatrix, AssertionError> {
+        let basis = self.basis()?;
+        let d = self.dim;
+        Ok(CMatrix::from_fn(d, d, |r, c| basis[c].amplitude(r)))
     }
 
     /// The NDD unitary `U = Σ_{i<t} |ψᵢ⟩⟨ψᵢ| − Σ_{i≥t} |ψᵢ⟩⟨ψᵢ|`
@@ -200,7 +279,7 @@ impl CorrectStates {
     pub fn ndd_unitary(&self) -> CMatrix {
         let d = self.dim();
         let mut acc = CMatrix::identity(d).scale(C64::from(-1.0));
-        for v in &self.basis[..self.t] {
+        for v in &self.correct {
             let proj = CMatrix::outer(v, v).scale(C64::from(2.0));
             acc = acc.add(&proj).expect("shapes agree");
         }
@@ -211,7 +290,7 @@ impl CorrectStates {
     /// subspace (used by tests and the coverage analysis).
     pub fn accepts(&self, phi: &CVector, tol: f64) -> bool {
         let mut in_correct = 0.0;
-        for v in &self.basis[..self.t] {
+        for v in &self.correct {
             if let Ok(ip) = v.inner(phi) {
                 in_correct += ip.norm_sqr();
             }
@@ -274,10 +353,13 @@ mod tests {
     fn pure_correct_states_has_rank_one() {
         let spec = StateSpec::pure(ghz()).unwrap();
         let cs = spec.correct_states().unwrap();
-        assert_eq!(cs.t, 1);
+        assert_eq!(cs.t(), 1);
         assert_eq!(cs.dim(), 8);
-        assert!(cs.basis[0].approx_eq(&ghz(), TOL));
-        assert!(qra_math::gram_schmidt::is_orthonormal(&cs.basis, TOL));
+        assert!(cs.correct()[0].approx_eq(&ghz(), TOL));
+        assert!(qra_math::gram_schmidt::is_orthonormal(
+            cs.basis().unwrap(),
+            TOL
+        ));
     }
 
     #[test]
@@ -292,7 +374,7 @@ mod tests {
                 .unwrap()
         };
         let cs = StateSpec::mixed(rho).unwrap().correct_states().unwrap();
-        assert_eq!(cs.t, 2);
+        assert_eq!(cs.t(), 2);
         // Correct states must span {|00⟩, |11⟩}.
         assert!(cs.accepts(&CVector::basis_state(4, 0), TOL));
         assert!(cs.accepts(&CVector::basis_state(4, 3), TOL));
@@ -305,7 +387,7 @@ mod tests {
         let spec =
             StateSpec::set(vec![CVector::basis_state(4, 0), CVector::basis_state(4, 3)]).unwrap();
         let cs = spec.correct_states().unwrap();
-        assert_eq!(cs.t, 2);
+        assert_eq!(cs.t(), 2);
         let u = cs.ndd_unitary();
         let z = CMatrix::from_real(2, 2, &[1.0, 0.0, 0.0, -1.0]);
         let zz = z.kron(&z);
@@ -325,7 +407,7 @@ mod tests {
     #[test]
     fn basis_matrix_is_unitary_and_maps_indices() {
         let cs = StateSpec::pure(ghz()).unwrap().correct_states().unwrap();
-        let w = cs.basis_matrix();
+        let w = cs.basis_matrix().unwrap();
         assert!(w.is_unitary(TOL));
         let col0 = w.mul_vec(&CVector::basis_state(8, 0));
         assert!(col0.approx_eq(&ghz(), TOL));
@@ -349,7 +431,21 @@ mod tests {
         // Two identical states → t = 1, not 2.
         let v = CVector::basis_state(2, 1);
         let spec = StateSpec::set(vec![v.clone(), v]).unwrap();
-        assert_eq!(spec.correct_states().unwrap().t, 1);
+        assert_eq!(spec.correct_states().unwrap().t(), 1);
+    }
+
+    #[test]
+    fn dependent_seeds_complete_the_basis_eagerly() {
+        // Orthonormalisation keeps one of the two seeds, so the second
+        // correct slot holds the completion's first vector.
+        let v = CVector::basis_state(4, 1);
+        let cs = CorrectStates::from_seeds(vec![v.clone(), v.scale(C64::from(2.0))], 4).unwrap();
+        assert!(cs.basis_completed());
+        assert_eq!(cs.t(), 2);
+        let direct = complete_basis(&[v.clone(), v.scale(C64::from(2.0))], 4).unwrap();
+        assert_eq!(cs.basis().unwrap(), &direct[..]);
+        assert_eq!(cs.correct(), &direct[..2]);
+        assert_eq!(cs.correct()[1], CVector::basis_state(4, 0));
     }
 
     #[test]
@@ -363,6 +459,6 @@ mod tests {
         let rho = spec.density();
         assert!(rho.validate_density(1e-9).is_ok());
         let cs = spec.correct_states().unwrap();
-        assert_eq!(cs.t, 3);
+        assert_eq!(cs.t(), 3);
     }
 }

@@ -1,23 +1,29 @@
 //! Differential tests for plan-once, winner-only `Design::Auto`.
 //!
-//! `Candidates` builds one `AssertionPlan`, costs SWAP and logical-OR from
-//! its parts and assembles only the design it picks. Over a spec corpus
-//! that covers every §IV-C rank case and every plan fast path, this checks
-//! that the predicted counts equal `GateCounts::of` of the circuits the
-//! public builders return, and that `Design::Auto` returns the same design
-//! and the same circuit, instruction for instruction, as building all
-//! three candidates and keeping the cheapest (the loop `Design::Auto` ran
-//! before, re-implemented here from the public builders).
+//! `Candidates` builds one `AssertionPlan`, prices SWAP and logical-OR
+//! from its parts and assembles only the design it picks. Over a spec
+//! corpus that covers every §IV-C rank case and every plan fast path, plus
+//! extension and random basis-state sets whose general steps synthesise to
+//! hundreds of thousands of CX, this checks that the exact prices equal
+//! `GateCounts::of` of the circuits the public builders return, that the
+//! bounded prices `Design::Auto` uses agree with them wherever they do not
+//! stop early, and that `Design::Auto` returns the same design and the same
+//! circuit, instruction for instruction, as building all three candidates
+//! and keeping the cheapest (the loop `Design::Auto` ran before,
+//! re-implemented here from the public builders). It also checks that the
+//! basis completed on demand is bit-identical to a direct completion, and
+//! that a rank-1 spec's `Design::Auto` never completes it.
 
 use qra_circuit::GateCounts;
 use qra_core::logical_or::build_or_assertion;
 use qra_core::ndd::build_ndd_assertion;
 use qra_core::plan::AssertionPlan;
+use qra_core::spec::RANK_TOL;
 use qra_core::swap::{build_swap_assertion, BuiltAssertion};
 use qra_core::{
     synthesize_assertion, AssertionError, Candidates, CorrectStates, Design, StateSpec,
 };
-use qra_math::{CMatrix, CVector, C64};
+use qra_math::{complete_basis, hermitian_eigen, CMatrix, CVector, C64};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -185,6 +191,43 @@ fn corpus() -> Vec<(&'static str, StateSpec, Vec<Vec<usize>>, bool)> {
     ]
 }
 
+/// Specs whose checked qubits are not pinned: the extension sets
+/// `{0, …, 2ⁿ⁻¹}` at n = 3…6 and seeded random basis-state sets of size 3,
+/// 5, 6 and 7 (superset pairs and extensions) at n = 4…6. Their general
+/// steps price at thousands to hundreds of thousands of CX, far above
+/// NDD's, so `Design::Auto` stops pricing them early.
+fn wide_corpus() -> Vec<(String, StateSpec)> {
+    let mut rng = StdRng::seed_from_u64(0x5e75);
+    let mut specs = Vec::new();
+    for n in 3..=6 {
+        let half = 1usize << (n - 1);
+        let all: Vec<usize> = (0..=half).collect();
+        specs.push((format!("extension {{0..{half}}} n={n}"), basis_set(n, &all)));
+    }
+    for n in 4..=6 {
+        for size in [3, 5, 6, 7] {
+            let mut idx: Vec<usize> = Vec::new();
+            while idx.len() < size {
+                let i = rng.gen_range(0..1usize << n);
+                if !idx.contains(&i) {
+                    idx.push(i);
+                }
+            }
+            specs.push((format!("random set {idx:?} n={n}"), basis_set(n, &idx)));
+        }
+    }
+    specs
+}
+
+/// Every spec of both corpora, by name.
+fn all_specs() -> Vec<(String, StateSpec)> {
+    corpus()
+        .into_iter()
+        .map(|(name, spec, _, _)| (name.to_string(), spec))
+        .chain(wide_corpus())
+        .collect()
+}
+
 fn counted(built: &BuiltAssertion) -> GateCounts {
     GateCounts::of(&built.circuit)
         .unwrap()
@@ -231,27 +274,44 @@ fn corpus_covers_every_rank_case_and_fast_path() {
 
 #[test]
 fn predicted_counts_equal_the_built_circuits() {
-    for (name, spec, _, _) in corpus() {
+    for (name, spec) in all_specs() {
         let cs = spec.correct_states().unwrap();
-        let candidates = Candidates::new(&spec).unwrap();
+        let exact = Candidates::new(&spec).unwrap();
+        let bounded = Candidates::bounded(&cs);
         let built = [
             (Design::Swap, build_swap_assertion(&cs).unwrap()),
             (Design::LogicalOr, build_or_assertion(&cs).unwrap()),
             (Design::Ndd, build_ndd_assertion(&cs).unwrap()),
         ];
+        let ndd_cx = counted(&built[2].1).cx;
         for (design, b) in built {
+            let want = counted(&b);
             assert_eq!(
-                candidates.counts(design).unwrap(),
-                counted(&b),
+                exact.counts(design).unwrap(),
+                want,
                 "{name}: {design} counts"
             );
+            // Bounded pricing stops only for a design whose U⁻¹ and U
+            // alone reach NDD's CX count, so it can never undercut NDD.
+            match bounded.counts(design) {
+                Ok(got) => assert_eq!(got, want, "{name}: bounded {design} counts"),
+                Err(AssertionError::Unsupported { scheme: "auto", .. }) => {
+                    assert!(want.cx >= ndd_cx, "{name}: {design} priced out below NDD")
+                }
+                Err(e) => panic!("{name}: bounded {design}: {e}"),
+            }
         }
+        assert_eq!(
+            bounded.cheapest().unwrap(),
+            exact.cheapest().unwrap(),
+            "{name}: cheapest"
+        );
     }
 }
 
 #[test]
 fn auto_matches_building_all_three() {
-    for (name, spec, _, _) in corpus() {
+    for (name, spec) in all_specs() {
         let (design, expected) = build_all_three(&spec.correct_states().unwrap()).unwrap();
         let auto = synthesize_assertion(&spec, Design::Auto).unwrap();
         assert_eq!(auto.design(), design, "{name}: design");
@@ -265,6 +325,126 @@ fn auto_matches_building_all_three() {
             design,
             "{name}: cheapest"
         );
+    }
+}
+
+/// A general-path plan, its `U` kept as `W`, that beats NDD under the
+/// bound: pricing runs to the end and the winner is assembled from `W`.
+/// In the corpus such plans win only where NDD takes its strategy 3 and
+/// so builds `U` itself ("general t=2 n=3": SWAP's four CX of glue beat
+/// NDD's doubly controlled Z); where NDD answers with a diagonal, a tensor
+/// product or its own basis change (strategies 1, 2 and 4: basis-state
+/// sets, tensor-reflection projectors, superset pairs and extensions,
+/// sampled at n ≤ 5) it is always cheaper than `U` and `U⁻¹` alone, so no
+/// spec among the paper's rank cases wins through the count-only emitter.
+#[test]
+fn general_path_winner_is_assembled_after_pricing_to_the_end() {
+    let (name, spec, _, _) = corpus()
+        .into_iter()
+        .find(|(name, ..)| *name == "general t=2 n=3")
+        .unwrap();
+    let cs = spec.correct_states().unwrap();
+    let plan = AssertionPlan::build(&cs).unwrap();
+    assert!(
+        plan.steps[0].basis_change().is_some(),
+        "{name}: general path"
+    );
+    let candidates = Candidates::bounded(&cs);
+    let swap = candidates.counts(Design::Swap).unwrap();
+    assert!(
+        swap.cx < candidates.counts(Design::Ndd).unwrap().cx,
+        "{name}"
+    );
+    assert_eq!(candidates.cheapest().unwrap(), Design::Swap, "{name}");
+    let auto = candidates.into_assertion().unwrap();
+    assert_eq!(auto.circuit(), &build_swap_assertion(&cs).unwrap().circuit);
+    assert_eq!(auto.gate_counts(), swap);
+}
+
+/// The states `StateSpec::correct_states` completes from, derived again
+/// from the spec: the pure state, or the density matrix's eigenvectors
+/// above `RANK_TOL`.
+fn seeds(spec: &StateSpec) -> Vec<CVector> {
+    match spec {
+        StateSpec::Pure(v) => vec![v.clone()],
+        _ => {
+            let eig = hermitian_eigen(&spec.density()).unwrap();
+            eig.values
+                .iter()
+                .zip(eig.vectors)
+                .filter(|(&val, _)| val > RANK_TOL)
+                .map(|(_, v)| v)
+                .collect()
+        }
+    }
+}
+
+/// GHZ, W, plus, a seeded amplitude state, a rank-1 mixed state and a
+/// random set at `n` qubits; the last is not rank 1.
+fn completion_specs(n: usize, rng: &mut StdRng) -> Vec<(&'static str, StateSpec)> {
+    let dim = 1usize << n;
+    let s = 0.5f64.sqrt();
+    let mut ghz = CVector::zeros(dim);
+    ghz[0] = C64::from(s);
+    ghz[dim - 1] = C64::from(s);
+    let w = CVector::new(
+        (0..dim)
+            .map(|i| C64::from(f64::from(u8::from(i.count_ones() == 1))))
+            .collect(),
+    );
+    let plus = CVector::from_real(&vec![1.0; dim]);
+    let amps = random_state(rng, dim);
+    let rank1 = random_state(rng, dim);
+    vec![
+        ("ghz", StateSpec::pure(ghz).unwrap()),
+        ("w", StateSpec::pure(w).unwrap()),
+        ("plus", StateSpec::pure(plus).unwrap()),
+        ("amps", StateSpec::pure(amps).unwrap()),
+        ("rank-1 mixed", mixed(&[(1.0, rank1)])),
+        ("set", random_set(rng, n, 3.min(dim - 1))),
+    ]
+}
+
+#[test]
+fn basis_completed_on_demand_is_bit_identical() {
+    let bits = |basis: &[CVector]| -> Vec<(u64, u64)> {
+        basis
+            .iter()
+            .flat_map(|v| v.iter().map(|a| (a.re.to_bits(), a.im.to_bits())))
+            .collect()
+    };
+    let mut rng = StdRng::seed_from_u64(0xc0de);
+    for n in 1..=6 {
+        for (name, spec) in completion_specs(n, &mut rng) {
+            let cs = spec.correct_states().unwrap();
+            assert!(!cs.basis_completed(), "{name} n={n}: completed eagerly");
+            let direct = complete_basis(&seeds(&spec), 1 << n).unwrap();
+            assert_eq!(
+                bits(cs.correct()),
+                bits(&direct[..cs.t()]),
+                "{name} n={n}: correct states"
+            );
+            assert_eq!(bits(cs.basis().unwrap()), bits(&direct), "{name} n={n}");
+            assert!(cs.basis_completed(), "{name} n={n}");
+        }
+    }
+}
+
+#[test]
+fn rank_one_auto_never_completes_the_basis() {
+    let mut rng = StdRng::seed_from_u64(0xc0de);
+    for n in 1..=6 {
+        for (name, spec) in completion_specs(n, &mut rng) {
+            let cs = spec.correct_states().unwrap();
+            if cs.t() != 1 {
+                continue;
+            }
+            let auto = Candidates::bounded(&cs).into_assertion().unwrap();
+            assert!(!cs.basis_completed(), "{name} n={n}: basis completed");
+            let direct = synthesize_assertion(&spec, Design::Auto).unwrap();
+            assert_eq!(auto.design(), direct.design(), "{name} n={n}");
+            assert_eq!(auto.circuit(), direct.circuit(), "{name} n={n}");
+        }
     }
 }
 

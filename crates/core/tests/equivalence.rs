@@ -122,10 +122,10 @@ fn appendix_b_basis_transform_proposition() {
     ghz[0] = C64::from(s);
     ghz[7] = C64::from(s);
     let cs = StateSpec::pure(ghz).unwrap().correct_states().unwrap();
-    let w = cs.basis_matrix();
+    let w = cs.basis_matrix().unwrap();
     let u_inv = w.adjoint();
     assert!(u_inv.is_unitary(TOL));
-    for (i, psi) in cs.basis.iter().enumerate() {
+    for (i, psi) in cs.basis().unwrap().iter().enumerate() {
         let out = u_inv.mul_vec(psi);
         assert!(
             out.approx_eq_up_to_phase(&CVector::basis_state(8, i), TOL),
