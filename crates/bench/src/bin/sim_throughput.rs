@@ -13,11 +13,16 @@
 //!
 //! Usage: `sim_throughput [--short] [--out PATH] [--threads T]`
 //!
-//! `--short` shrinks shots/repeats for CI smoke runs (validates the
-//! pipeline and the identity contract, not the timing); `--out` overrides
-//! the default `BENCH_sim.json` output path; `--threads` overrides the
-//! amplitude/shot worker count used by the parallel sections (default:
-//! one per available core). Beyond the interpreted-vs-compiled pairs,
+//! Each timed engine runs at least three times and until about a second
+//! has passed; its row reports the fastest run as `secs`, plus
+//! `median_secs` and `runs`. A best-of-three alone cannot resolve a 10%
+//! change on a host whose run-to-run spread is larger than that.
+//!
+//! `--short` shrinks shots and runs each engine once, for CI smoke runs
+//! (validates the pipeline and the identity contract, not the timing);
+//! `--out` overrides the default `BENCH_sim.json` output path;
+//! `--threads` overrides the amplitude/shot worker count used by the
+//! parallel sections (default: one per available core). Beyond the interpreted-vs-compiled pairs,
 //! three parallel sections exercise the threaded paths — amplitude-level
 //! kernel threading on ≥18-qubit workloads, kernel fusion on rotation
 //! chains, and batched trajectory shots — each asserting its counts are
@@ -234,25 +239,56 @@ fn workloads(short: bool) -> Vec<Workload> {
     ]
 }
 
-/// Times `runs` repetitions of `f`, returning (best seconds, counts).
-fn time_best<F: FnMut() -> Counts>(runs: usize, mut f: F) -> (f64, Counts) {
-    let mut best = f64::INFINITY;
-    let mut counts = None;
-    for _ in 0..runs {
-        let t0 = Instant::now();
-        let c = f();
-        best = best.min(t0.elapsed().as_secs_f64());
-        counts = Some(c);
-    }
-    (best, counts.expect("runs >= 1"))
+/// The run times of one timed engine.
+struct Timing {
+    /// The fastest run, in seconds.
+    secs: f64,
+    /// The median run, in seconds.
+    median: f64,
+    runs: usize,
 }
 
-fn engine_json(secs: f64, shots: u64, gate_evals: u64) -> String {
+/// Times `f` for at least three runs and until about a second has passed
+/// (one run when `short`), returning the run times and the last result.
+fn time_best<T>(short: bool, mut f: impl FnMut() -> T) -> (Timing, T) {
+    let (min_runs, min_secs) = if short { (1, 0.0) } else { (3, 1.0) };
+    let started = Instant::now();
+    let mut secs = Vec::new();
+    loop {
+        let t0 = Instant::now();
+        let value = f();
+        secs.push(t0.elapsed().as_secs_f64());
+        if secs.len() >= min_runs && started.elapsed().as_secs_f64() >= min_secs {
+            secs.sort_by(f64::total_cmp);
+            let mid = secs.len() / 2;
+            let median = if secs.len() % 2 == 1 {
+                secs[mid]
+            } else {
+                (secs[mid - 1] + secs[mid]) / 2.0
+            };
+            let timing = Timing {
+                secs: secs[0],
+                median,
+                runs: secs.len(),
+            };
+            return (timing, value);
+        }
+    }
+}
+
+fn timing_json(t: &Timing) -> String {
     format!(
-        "{{\"secs\":{:.6},\"shots_per_s\":{:.1},\"gates_per_s\":{:.1}}}",
-        secs,
-        shots as f64 / secs,
-        gate_evals as f64 / secs
+        "{{\"secs\":{:.6},\"median_secs\":{:.6},\"runs\":{}",
+        t.secs, t.median, t.runs
+    )
+}
+
+fn engine_json(t: &Timing, shots: u64, gate_evals: u64) -> String {
+    format!(
+        "{},\"shots_per_s\":{:.1},\"gates_per_s\":{:.1}}}",
+        timing_json(t),
+        shots as f64 / t.secs,
+        gate_evals as f64 / t.secs
     )
 }
 
@@ -280,7 +316,6 @@ fn main() {
     }
     let (cores, _) = resolve_threads(0);
     let threads = if threads == 0 { cores } else { threads };
-    let runs = if short { 1 } else { 3 };
     // On a single-core machine (or a forced single-thread run) the
     // parallel/trajectory speedup columns measure scheduling overhead,
     // not scaling: their rows are flagged degenerate and exempt from any
@@ -297,12 +332,12 @@ fn main() {
         } else {
             gates * w.shots
         };
-        let (interp_secs, interp_counts) = time_best(runs, || {
+        let (interp, interp_counts) = time_best(short, || {
             StatevectorSimulator::with_seed(w.seed)
                 .run_interpreted(&w.circuit, w.shots)
                 .expect("interpreted run")
         });
-        let (compiled_secs, compiled_counts) = time_best(runs, || {
+        let (compiled, compiled_counts) = time_best(short, || {
             StatevectorSimulator::with_seed(w.seed)
                 .run_compiled(&program, w.shots)
                 .expect("compiled run")
@@ -312,7 +347,7 @@ fn main() {
             "{}: compiled counts diverged from interpreter — seed-compatibility broken",
             w.name
         );
-        let speedup = interp_secs / compiled_secs;
+        let speedup = interp.secs / compiled.secs;
         let classes: Vec<String> = program
             .class_histogram()
             .into_iter()
@@ -324,8 +359,8 @@ fn main() {
             w.circuit.num_qubits(),
             gates,
             w.shots,
-            interp_secs * 1e3,
-            compiled_secs * 1e3,
+            interp.secs * 1e3,
+            compiled.secs * 1e3,
             speedup
         );
         entries.push(format!(
@@ -336,34 +371,27 @@ fn main() {
             w.shots,
             program.is_terminal(),
             classes.join(","),
-            engine_json(interp_secs, w.shots, gate_evals),
-            engine_json(compiled_secs, w.shots, gate_evals),
+            engine_json(&interp, w.shots, gate_evals),
+            engine_json(&compiled, w.shots, gate_evals),
             speedup
         ));
     }
     let mut density_entries = Vec::new();
     for w in density_workloads(short) {
         let sim = DensityMatrixSimulator::with_noise(w.noise.clone());
-        // Lowering plus prefix evolution, best of `runs`. For a circuit
-        // measured at the end this holds all of the channel work; the
-        // `compiled` run below only walks the branches and samples.
-        let mut compile_secs = f64::INFINITY;
-        let mut program = None;
-        for _ in 0..runs {
-            let t0 = Instant::now();
-            let p = sim.compile(&w.circuit).expect("density compile");
-            compile_secs = compile_secs.min(t0.elapsed().as_secs_f64());
-            program = Some(p);
-        }
-        let program = program.expect("runs >= 1");
+        // Lowering plus prefix evolution. For a circuit measured at the
+        // end this holds all of the channel work; the `compiled` run below
+        // only walks the branches and samples.
+        let (compile, program) =
+            time_best(short, || sim.compile(&w.circuit).expect("density compile"));
         let gates = w.circuit.gate_count() as u64;
         // Density evolution applies every lowered op once per run; the
         // shot loop only samples the resulting distribution.
-        let (interp_secs, interp_counts) = time_best(runs, || {
+        let (interp, interp_counts) = time_best(short, || {
             sim.run_interpreted(&w.circuit, w.shots, w.seed)
                 .expect("interpreted density run")
         });
-        let (compiled_secs, compiled_counts) = time_best(runs, || {
+        let (compiled, compiled_counts) = time_best(short, || {
             sim.run_compiled(&program, w.shots, w.seed)
                 .expect("compiled density run")
         });
@@ -372,7 +400,7 @@ fn main() {
             "{}: compiled density counts diverged from the walker — seed-compatibility broken",
             w.name
         );
-        let speedup = interp_secs / compiled_secs;
+        let speedup = interp.secs / compiled.secs;
         let classes: Vec<String> = program
             .class_histogram()
             .into_iter()
@@ -384,13 +412,13 @@ fn main() {
             w.circuit.num_qubits(),
             gates,
             w.shots,
-            interp_secs * 1e3,
-            compile_secs * 1e3,
-            compiled_secs * 1e3,
+            interp.secs * 1e3,
+            compile.secs * 1e3,
+            compiled.secs * 1e3,
             speedup
         );
         density_entries.push(format!(
-            "{{\"name\":{},\"qubits\":{},\"gates\":{},\"ops\":{},\"kraus_terms\":{},\"shots\":{},\"kernel_classes\":{{{}}},\"compile\":{{\"secs\":{:.6}}},\"interpreted\":{},\"compiled\":{},\"speedup\":{:.2},\"identical\":true}}",
+            "{{\"name\":{},\"qubits\":{},\"gates\":{},\"ops\":{},\"kraus_terms\":{},\"shots\":{},\"kernel_classes\":{{{}}},\"compile\":{}}},\"interpreted\":{},\"compiled\":{},\"speedup\":{:.2},\"identical\":true}}",
             json_string(w.name),
             w.circuit.num_qubits(),
             gates,
@@ -398,9 +426,9 @@ fn main() {
             program.kraus_terms(),
             w.shots,
             classes.join(","),
-            compile_secs,
-            engine_json(interp_secs, w.shots, gates),
-            engine_json(compiled_secs, w.shots, gates),
+            timing_json(&compile),
+            engine_json(&interp, w.shots, gates),
+            engine_json(&compiled, w.shots, gates),
             speedup
         ));
     }
@@ -412,12 +440,12 @@ fn main() {
     let mut parallel_entries = Vec::new();
     for w in parallel_workloads(short) {
         let program = CompiledProgram::compile(&w.circuit).expect("compile");
-        let (single_secs, single_counts) = time_best(runs, || {
+        let (single, single_counts) = time_best(short, || {
             StatevectorSimulator::with_seed(w.seed)
                 .run_compiled(&program, w.shots)
                 .expect("sequential run")
         });
-        let (threaded_secs, threaded_counts) = time_best(runs, || {
+        let (threaded, threaded_counts) = time_best(short, || {
             StatevectorSimulator::with_seed(w.seed)
                 .with_threads(threads)
                 .run_compiled(&program, w.shots)
@@ -428,15 +456,15 @@ fn main() {
             "{}: threaded counts diverged from sequential — thread identity broken",
             w.name
         );
-        let speedup = single_secs / threaded_secs;
+        let speedup = single.secs / threaded.secs;
         eprintln!(
             "{:>18}  n={:<2} shots={:<5} 1-thread {:>9.3} ms  {}-thread {:>9.3} ms  {:>6.2}x",
             w.name,
             w.circuit.num_qubits(),
             w.shots,
-            single_secs * 1e3,
+            single.secs * 1e3,
             threads,
-            threaded_secs * 1e3,
+            threaded.secs * 1e3,
             speedup
         );
         parallel_entries.push(format!(
@@ -446,8 +474,8 @@ fn main() {
             w.shots,
             threads,
             degenerate,
-            engine_json(single_secs, w.shots, w.circuit.gate_count() as u64),
-            engine_json(threaded_secs, w.shots, w.circuit.gate_count() as u64),
+            engine_json(&single, w.shots, w.circuit.gate_count() as u64),
+            engine_json(&threaded, w.shots, w.circuit.gate_count() as u64),
             speedup
         ));
     }
@@ -469,12 +497,12 @@ fn main() {
         let seed = 17u64;
         let fused = CompiledProgram::compile(&circuit).expect("fused compile");
         let unfused = CompiledProgram::compile_unfused(&circuit).expect("unfused compile");
-        let (unfused_secs, unfused_counts) = time_best(runs, || {
+        let (unfused_time, unfused_counts) = time_best(short, || {
             StatevectorSimulator::with_seed(seed)
                 .run_compiled(&unfused, shots)
                 .expect("unfused run")
         });
-        let (fused_secs, fused_counts) = time_best(runs, || {
+        let (fused_time, fused_counts) = time_best(short, || {
             StatevectorSimulator::with_seed(seed)
                 .run_compiled(&fused, shots)
                 .expect("fused run")
@@ -483,14 +511,14 @@ fn main() {
             unfused_counts, fused_counts,
             "{name}: fused counts diverged from unfused — fusion identity broken"
         );
-        let speedup = unfused_secs / fused_secs;
+        let speedup = unfused_time.secs / fused_time.secs;
         eprintln!(
             "{:>18}  n={} shots={:<5} unfused {:>9.3} ms  fused {:>9.3} ms  {:>6.2}x (fused away {} of {} kernels)",
             name,
             n,
             shots,
-            unfused_secs * 1e3,
-            fused_secs * 1e3,
+            unfused_time.secs * 1e3,
+            fused_time.secs * 1e3,
             speedup,
             fused.fused_away(),
             unfused.op_count()
@@ -502,8 +530,8 @@ fn main() {
             unfused.op_count(),
             fused.op_count(),
             fused.fused_away(),
-            engine_json(unfused_secs, shots, circuit.gate_count() as u64),
-            engine_json(fused_secs, shots, circuit.gate_count() as u64),
+            engine_json(&unfused_time, shots, circuit.gate_count() as u64),
+            engine_json(&fused_time, shots, circuit.gate_count() as u64),
             speedup
         ));
     }
@@ -518,12 +546,12 @@ fn main() {
         let shots = if short { 64u64 } else { 2048 };
         let noise = DevicePreset::LowNoise.noise_model();
         let seed = 23u64;
-        let (single_secs, single_counts) = time_best(runs, || {
+        let (single, single_counts) = time_best(short, || {
             TrajectorySimulator::new(noise.clone(), seed)
                 .run_batched(&circuit, shots)
                 .expect("single-worker batch")
         });
-        let (batched_secs, batched_counts) = time_best(runs, || {
+        let (batched, batched_counts) = time_best(short, || {
             TrajectorySimulator::new(noise.clone(), seed)
                 .with_threads(threads)
                 .run_batched(&circuit, shots)
@@ -533,15 +561,15 @@ fn main() {
             single_counts, batched_counts,
             "trajectory batch: worker count changed the histogram — shot-seed identity broken"
         );
-        let speedup = single_secs / batched_secs;
+        let speedup = single.secs / batched.secs;
         eprintln!(
             "{:>18}  n={:<2} shots={:<5} 1-worker {:>9.3} ms  {}-worker {:>9.3} ms  {:>6.2}x",
             "traj_ghz_mid",
             circuit.num_qubits(),
             shots,
-            single_secs * 1e3,
+            single.secs * 1e3,
             threads,
-            batched_secs * 1e3,
+            batched.secs * 1e3,
             speedup
         );
         trajectory_entries.push(format!(
@@ -550,8 +578,8 @@ fn main() {
             shots,
             threads,
             degenerate,
-            engine_json(single_secs, shots, circuit.gate_count() as u64),
-            engine_json(batched_secs, shots, circuit.gate_count() as u64),
+            engine_json(&single, shots, circuit.gate_count() as u64),
+            engine_json(&batched, shots, circuit.gate_count() as u64),
             speedup
         ));
     }
@@ -569,12 +597,12 @@ fn main() {
         let seed = 7u64;
         let program = CompiledProgram::compile(&circuit).expect("compile");
         assert!(program.is_clifford(), "GHZ-16 must be tagged Clifford");
-        let (sv_secs, sv_counts) = time_best(runs, || {
+        let (sv, sv_counts) = time_best(short, || {
             StatevectorSimulator::with_seed(seed)
                 .run_compiled(&program, shots)
                 .expect("statevector run")
         });
-        let (stab_secs, stab_counts) = time_best(runs, || {
+        let (stab, stab_counts) = time_best(short, || {
             StabilizerSimulator::with_seed(seed)
                 .run(&circuit, shots)
                 .expect("stabilizer run")
@@ -583,20 +611,20 @@ fn main() {
             sv_counts, stab_counts,
             "ghz16: stabilizer counts diverged from statevector — backend identity broken"
         );
-        let speedup = sv_secs / stab_secs;
+        let speedup = sv.secs / stab.secs;
         eprintln!(
             "{:>18}  n=16 shots={:<7} statevector {:>9.3} ms  stabilizer {:>9.3} ms  {:>6.2}x",
             "ghz16_stab_ident",
             shots,
-            sv_secs * 1e3,
-            stab_secs * 1e3,
+            sv.secs * 1e3,
+            stab.secs * 1e3,
             speedup
         );
         stabilizer_entries.push(format!(
             "{{\"name\":\"ghz16_stabilizer_identity\",\"qubits\":16,\"shots\":{},\"statevector\":{},\"stabilizer\":{},\"speedup\":{:.2},\"identical\":true}}",
             shots,
-            engine_json(sv_secs, shots, circuit.gate_count() as u64),
-            engine_json(stab_secs, shots, circuit.gate_count() as u64),
+            engine_json(&sv, shots, circuit.gate_count() as u64),
+            engine_json(&stab, shots, circuit.gate_count() as u64),
             speedup
         ));
     }
@@ -606,7 +634,7 @@ fn main() {
         let clean = wide_swap_assertion(n, false);
         let faulted = wide_swap_assertion(n, true);
         let gates = clean.gate_count() as u64;
-        let (secs, counts) = time_best(runs, || {
+        let (wide, counts) = time_best(short, || {
             StabilizerSimulator::with_seed(seed)
                 .run(&clean, shots)
                 .expect("wide clean run")
@@ -620,9 +648,10 @@ fn main() {
         assert!(flag_faulted > 0.99, "stray X on GHZ-{n} must flag");
         if !short {
             assert!(
-                secs < 10.0,
-                "GHZ-{n} swap assertion at {shots} shots took {secs:.1}s — \
-                 the single-digit-seconds budget is broken"
+                wide.secs < 10.0,
+                "GHZ-{n} swap assertion at {shots} shots took {:.1}s — \
+                 the single-digit-seconds budget is broken",
+                wide.secs
             );
         }
         eprintln!(
@@ -630,22 +659,23 @@ fn main() {
             format!("ghz{n}_swap_assert"),
             n,
             shots,
-            secs * 1e3,
-            shots as f64 / secs,
+            wide.secs * 1e3,
+            shots as f64 / wide.secs,
             flag_clean,
             flag_faulted
         );
         stabilizer_entries.push(format!(
             "{{\"name\":\"ghz{n}_swap_assert\",\"qubits\":{},\"gates\":{gates},\"shots\":{shots},\"stabilizer\":{},\"flag_rate_clean\":{flag_clean:.4},\"flag_rate_faulted\":{flag_faulted:.4},\"detects\":true}}",
             clean.num_qubits(),
-            engine_json(secs, shots, gates),
+            engine_json(&wide, shots, gates),
         ));
     }
 
     let json = format!(
-        "{{\"bench\":\"sim_throughput\",\"short\":{},\"runs_per_engine\":{},\"cores\":{},\"threads\":{},\"workloads\":[{}],\"density\":[{}],\"parallel\":[{}],\"fusion\":[{}],\"trajectory\":[{}],\"stabilizer\":[{}]}}",
+        "{{\"bench\":\"sim_throughput\",\"short\":{},\"min_runs_per_engine\":{},\"min_secs_per_engine\":{},\"cores\":{},\"threads\":{},\"workloads\":[{}],\"density\":[{}],\"parallel\":[{}],\"fusion\":[{}],\"trajectory\":[{}],\"stabilizer\":[{}]}}",
         short,
-        runs,
+        if short { 1 } else { 3 },
+        if short { 0.0 } else { 1.0 },
         cores,
         threads,
         entries.join(","),

@@ -3,7 +3,8 @@
 //! seeds (for any worker count, cache hits included), repeat circuits hit
 //! the compiled-program cache, SIGTERM drains gracefully (an idle daemon
 //! within a bound), and multi-host sweeps attribute progress per host in
-//! `sweep status --json`.
+//! `sweep status --json`. One test runs the daemon in process instead, with
+//! a cache small enough to evict, and holds its replies to the same bytes.
 
 use std::fs;
 use std::ops::{Deref, DerefMut};
@@ -208,6 +209,90 @@ fn daemon_jobs_are_byte_identical_to_one_shot_runs() {
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("serve: drained after 9 job(s)"), "{stdout}");
     assert!(!socket.exists(), "socket not removed after drain");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// An in-process daemon whose cache holds 64 KiB evicts while it serves
+/// repeated and fresh ideal and noisy jobs, and every reply still equals
+/// the one-shot command's output and exit code byte for byte.
+#[test]
+fn daemon_replies_are_byte_identical_under_cache_eviction() {
+    use qra::serve::{request_shutdown, request_status, submit_jobs, Server, ServerConfig};
+    use qra::sim::ProgramCache;
+    use std::sync::Arc;
+
+    let dir = tmpdir("eviction");
+    let ghz = |n: usize| {
+        let path = dir.join(format!("ghz{n}.qasm"));
+        let mut text = format!("OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[{n}];\nh q[0];\n");
+        for q in 1..n {
+            text.push_str(&format!("cx q[{}],q[{q}];\n", q - 1));
+        }
+        fs::write(&path, text).unwrap();
+        path.to_str().unwrap().to_string()
+    };
+    let mut jobs: Vec<Vec<String>> = Vec::new();
+    // Noisy jobs stay at n <= 5 (a density program of n qubits holds
+    // 16·4ⁿ bytes); the wide ideal runs fill the cache.
+    for (n, noises) in [(3, 2), (4, 2), (5, 2), (9, 1), (10, 1), (11, 1)] {
+        let file = ghz(n);
+        let qubits = (0..n.min(4)).map(|q| q.to_string()).collect::<Vec<_>>();
+        let qubits = qubits.join(",");
+        for noise in &["ideal", "low"][..noises] {
+            let seed = (jobs.len() + 1).to_string();
+            jobs.push(
+                [
+                    "run", &file, "--shots", "256", "--seed", &seed, "--noise", noise,
+                ]
+                .map(String::from)
+                .to_vec(),
+            );
+            let state = if n <= 4 { "ghz" } else { "plus" };
+            jobs.push(
+                [
+                    "assert", &file, "--qubits", &qubits, "--state", state, "--design", "ndd",
+                    "--shots", "256", "--seed", &seed, "--noise", noise,
+                ]
+                .map(String::from)
+                .to_vec(),
+            );
+        }
+    }
+    // Each job twice in a row (the repeat hits the cache), then the whole
+    // list again (by then most programs were evicted and recompile).
+    let mut jobs: Vec<Vec<String>> = jobs.iter().flat_map(|j| [j.clone(), j.clone()]).collect();
+    jobs.extend(jobs.clone().into_iter().step_by(2));
+
+    let cache = Arc::new(ProgramCache::with_capacity(64 << 10));
+    let socket = dir.join("d.sock");
+    let server = Arc::new(Server::new(
+        ServerConfig {
+            socket: socket.clone(),
+            workers: 1,
+            queue_depth: 128,
+            cache: Some(Arc::clone(&cache)),
+            ..ServerConfig::default()
+        },
+        qra_cli::daemon_executor(Arc::clone(&cache), Vec::new()),
+    ));
+    let run = {
+        let server = Arc::clone(&server);
+        thread::spawn(move || server.run().unwrap())
+    };
+    wait_for_socket(&socket);
+    let replies = submit_jobs(&socket, &jobs).unwrap();
+    for (argv, reply) in jobs.iter().zip(&replies) {
+        let command = qra_cli::parse_args(argv).unwrap();
+        let (output, code) = qra_cli::execute_with_code(&command).unwrap();
+        assert!(reply.ok, "{argv:?}: {:?}", reply.error);
+        assert_eq!((&reply.output, reply.code), (&output, code), "{argv:?}");
+    }
+    let status = request_status(&socket).unwrap();
+    assert!(json_counter(&status, "hits") > 0, "{status}");
+    assert!(json_counter(&status, "evictions") > 0, "{status}");
+    assert_eq!(json_counter(&status, "processed"), jobs.len() as u64);
+    request_shutdown(&socket).unwrap();
+    run.join().unwrap();
     let _ = fs::remove_dir_all(&dir);
 }
 

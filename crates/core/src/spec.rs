@@ -275,15 +275,16 @@ impl CorrectStates {
     }
 
     /// The NDD unitary `U = Σ_{i<t} |ψᵢ⟩⟨ψᵢ| − Σ_{i≥t} |ψᵢ⟩⟨ψᵢ|`
-    /// (`= 2P_correct − I`).
+    /// (`= 2P_correct − I`), built in one pass: each entry folds
+    /// `δ·(−1) + Σᵢ (ψᵢ[r]·ψ̄ᵢ[c])·2` in the order of the correct states.
     pub fn ndd_unitary(&self) -> CMatrix {
-        let d = self.dim();
-        let mut acc = CMatrix::identity(d).scale(C64::from(-1.0));
-        for v in &self.correct {
-            let proj = CMatrix::outer(v, v).scale(C64::from(2.0));
-            acc = acc.add(&proj).expect("shapes agree");
-        }
-        acc
+        let (minus_one, two) = (C64::from(-1.0), C64::from(2.0));
+        CMatrix::from_fn(self.dim, self.dim, |r, c| {
+            let delta = if r == c { C64::one() } else { C64::zero() };
+            self.correct.iter().fold(delta * minus_one, |acc, v| {
+                acc + (v.amplitude(r) * v.amplitude(c).conj()) * two
+            })
+        })
     }
 
     /// Returns `true` when the state `|φ⟩` lies entirely in the correct

@@ -492,7 +492,10 @@ impl DensityMatrixSimulator {
             key: 0,
         }];
 
-        // Pre-build noise channels once.
+        // Pre-build noise channels once. The walker keeps its own copy of
+        // the gate-noise schedule (the compiled engines share
+        // `noise::GateNoise`): it is the independent reference that
+        // `tests/density_identity.rs` checks them against.
         let depol1 = build_channel(self.noise.depol_1q, KrausChannel::depolarizing_1q)?;
         let depol2 = build_channel(self.noise.depol_2q, KrausChannel::depolarizing_2q)?;
         let damp1 = build_channel(self.noise.damping_1q, KrausChannel::amplitude_damping)?;
@@ -825,7 +828,7 @@ fn push_scaled(
 
 type ChannelCtor = fn(f64) -> Result<KrausChannel, SimError>;
 
-pub(crate) fn build_channel(p: f64, ctor: ChannelCtor) -> Result<Option<KrausChannel>, SimError> {
+fn build_channel(p: f64, ctor: ChannelCtor) -> Result<Option<KrausChannel>, SimError> {
     if p <= 0.0 {
         Ok(None)
     } else {

@@ -11,8 +11,9 @@
 //!   so `X`/`CX` conjugations are pure index permutations and
 //!   `Z`/`S`/`T`/`Rz` conjugations are `O(4ⁿ)` phase sweeps;
 //! * every Kraus operator lowers once per noise model to a
-//!   `MonomialTerm`: the operators the [`KrausChannel`] constructors
-//!   build (scaled Paulis, amplitude and phase damping) have at most one
+//!   `MonomialTerm`: the operators the
+//!   [`KrausChannel`](crate::noise::KrausChannel) constructors build
+//!   (scaled Paulis, amplitude and phase damping) have at most one
 //!   nonzero entry per row, so each term is, per sub-row `r`, a source
 //!   sub-index `π(r)` and a weight `w_r`. A channel `ρ ← Σᵢ KᵢρKᵢ†` then
 //!   costs one read-only gather pass per term,
@@ -54,8 +55,7 @@
 //! deliberately not used: both change the arithmetic, and with it every
 //! fixed-seed noisy report.
 
-use crate::density::build_channel;
-use crate::noise::{KrausChannel, NoiseModel};
+use crate::noise::{GateNoise, NoiseModel};
 use crate::SimError;
 use qra_circuit::kernel::{ConjugationPair, KernelClass, PairScratch, PARALLEL_THRESHOLD_QUBITS};
 use qra_circuit::{Circuit, Gate, Operation};
@@ -176,22 +176,15 @@ impl CompiledDensityProgram {
         }
 
         // Lower each noise channel's Kraus set once; shared by every site.
-        let depol1 = lower_channel(noise.depol_1q, KrausChannel::depolarizing_1q)?;
-        let depol2 = lower_channel(noise.depol_2q, KrausChannel::depolarizing_2q)?;
-        let damp1 = lower_channel(noise.damping_1q, KrausChannel::amplitude_damping)?;
-        let damp2 = lower_channel(noise.damping_2q, KrausChannel::amplitude_damping)?;
-        let deph = lower_channel(noise.dephasing, KrausChannel::phase_damping)?;
+        let gate_noise = GateNoise::lower(noise, |channel| -> Arc<[MonomialTerm]> {
+            channel
+                .operators()
+                .iter()
+                .map(|k| MonomialTerm::lower(k).expect("noise-model Kraus operators are monomial"))
+                .collect()
+        })?;
 
         let mut ops = Vec::new();
-        let push_channel =
-            |ops: &mut Vec<DensityOp>, terms: &Option<Arc<[MonomialTerm]>>, qubits: &[usize]| {
-                if let Some(terms) = terms {
-                    ops.push(DensityOp::Channel {
-                        site: ChannelSite::new(Arc::clone(terms), qubits, n),
-                        touched: touched_bits(qubits, n),
-                    });
-                }
-            };
         for inst in circuit.instructions() {
             match &inst.operation {
                 Operation::Barrier => {}
@@ -200,22 +193,12 @@ impl CompiledDensityProgram {
                         pair: ConjugationPair::for_gate(g, &inst.qubits, n),
                         touched: touched_bits(&inst.qubits, n),
                     });
-                    // Gate-dependent noise, mirroring the interpreter's site
-                    // order exactly: gates wider than two qubits get pairwise
-                    // two-qubit depolarizing on consecutive qubit pairs.
-                    if inst.qubits.len() == 1 {
-                        push_channel(&mut ops, &depol1, &[inst.qubits[0]]);
-                        push_channel(&mut ops, &damp1, &[inst.qubits[0]]);
-                        push_channel(&mut ops, &deph, &[inst.qubits[0]]);
-                    } else {
-                        for pair in inst.qubits.windows(2) {
-                            push_channel(&mut ops, &depol2, pair);
-                        }
-                        for &q in &inst.qubits {
-                            push_channel(&mut ops, &damp2, &[q]);
-                            push_channel(&mut ops, &deph, &[q]);
-                        }
-                    }
+                    gate_noise.after_gate(&inst.qubits, |terms, qubits| {
+                        ops.push(DensityOp::Channel {
+                            site: ChannelSite::new(Arc::clone(terms), qubits, n),
+                            touched: touched_bits(qubits, n),
+                        })
+                    });
                 }
                 Operation::Measure => {
                     let q = inst.qubits[0];
@@ -369,21 +352,6 @@ impl CompiledDensityProgram {
     }
 }
 
-/// Builds the channel for probability `p` and lowers its Kraus operators
-/// to monomial terms, preserving `None` for zero-probability channels (no
-/// op emitted, like the interpreter's `apply_channel_opt` no-op path).
-fn lower_channel(
-    p: f64,
-    ctor: fn(f64) -> Result<KrausChannel, SimError>,
-) -> Result<Option<Arc<[MonomialTerm]>>, SimError> {
-    Ok(build_channel(p, ctor)?.map(|ch| {
-        ch.operators()
-            .iter()
-            .map(|k| MonomialTerm::lower(k).expect("noise-model Kraus operators are monomial"))
-            .collect()
-    }))
-}
-
 /// One Kraus operator lowered to a monomial conjugation: for each sub-row
 /// `r` (big-endian over the channel's qubits), the sub-index its only
 /// nonzero entry sits in and that entry's weight, `0.0` for an all-zero
@@ -398,7 +366,8 @@ pub(crate) struct MonomialTerm {
 impl MonomialTerm {
     /// Lowers `k`, or `None` when a row holds two nonzero entries, an
     /// entry is neither real nor imaginary, or real and imaginary entries
-    /// mix (no [`KrausChannel`] constructor builds such an operator).
+    /// mix (no [`KrausChannel`](crate::noise::KrausChannel) constructor
+    /// builds such an operator).
     pub(crate) fn lower(k: &CMatrix) -> Option<MonomialTerm> {
         let mut imaginary = None;
         let mut rows = Vec::with_capacity(k.rows());
@@ -549,7 +518,7 @@ pub(crate) fn apply_channel(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::noise::DevicePreset;
+    use crate::noise::{DevicePreset, KrausChannel};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

@@ -7,6 +7,11 @@
 //! bit-flip at measurement. [`DevicePreset::melbourne_like`] fixes the
 //! constants in the regime of that device's published calibrations
 //! (single-qubit error ≈ 0.1%, CX error ≈ 2–3%, readout error ≈ 4%).
+//!
+//! Which channels follow a gate is decided once, by `GateNoise`, for both
+//! compiled noisy engines (density and trajectory). The density walker in
+//! [`crate::density`] keeps its own copy: it is the independent reference
+//! those engines are tested against.
 
 use crate::SimError;
 use qra_math::{CMatrix, C64};
@@ -312,6 +317,62 @@ impl NoiseModel {
             && self.dephasing == 0.0
             && self.readout_p01 == 0.0
             && self.readout_p10 == 0.0
+    }
+}
+
+/// The five gate-noise channels of a [`NoiseModel`], each lowered once by
+/// the engine that applies them (`None` where the rate is zero), and the
+/// schedule of which follow a gate.
+pub(crate) struct GateNoise<T> {
+    depol_1q: Option<T>,
+    depol_2q: Option<T>,
+    damping_1q: Option<T>,
+    damping_2q: Option<T>,
+    dephasing: Option<T>,
+}
+
+impl<T> GateNoise<T> {
+    /// Builds every channel whose rate is positive and lowers it.
+    pub(crate) fn lower(
+        noise: &NoiseModel,
+        mut lower: impl FnMut(KrausChannel) -> T,
+    ) -> Result<Self, SimError> {
+        let mut build = |p: f64, ctor: fn(f64) -> Result<KrausChannel, SimError>| {
+            Ok::<_, SimError>(if p > 0.0 { Some(lower(ctor(p)?)) } else { None })
+        };
+        Ok(GateNoise {
+            depol_1q: build(noise.depol_1q, KrausChannel::depolarizing_1q)?,
+            depol_2q: build(noise.depol_2q, KrausChannel::depolarizing_2q)?,
+            damping_1q: build(noise.damping_1q, KrausChannel::amplitude_damping)?,
+            damping_2q: build(noise.damping_2q, KrausChannel::amplitude_damping)?,
+            dephasing: build(noise.dephasing, KrausChannel::phase_damping)?,
+        })
+    }
+
+    /// Calls `site(channel, qubits)` for each channel that follows a gate
+    /// on `qubits`, in application order. After a one-qubit gate:
+    /// depolarizing, damping, dephasing. After a wider gate: two-qubit
+    /// depolarizing on each consecutive qubit pair, then damping and
+    /// dephasing on each qubit.
+    pub(crate) fn after_gate(&self, qubits: &[usize], mut site: impl FnMut(&T, &[usize])) {
+        let mut push = |channel: &Option<T>, qubits: &[usize]| {
+            if let Some(channel) = channel {
+                site(channel, qubits);
+            }
+        };
+        if qubits.len() == 1 {
+            push(&self.depol_1q, qubits);
+            push(&self.damping_1q, qubits);
+            push(&self.dephasing, qubits);
+        } else {
+            for pair in qubits.windows(2) {
+                push(&self.depol_2q, pair);
+            }
+            for q in qubits.chunks(1) {
+                push(&self.damping_2q, q);
+                push(&self.dephasing, q);
+            }
+        }
     }
 }
 

@@ -33,14 +33,13 @@
 //! `tests/stabilizer_identity.rs` pins the equality over every circuit
 //! family the campaign runner emits.
 //!
-//! Two seeding disciplines mirror [`crate::TrajectorySimulator`]:
-//! [`StabilizerSimulator::run`] consumes one sequential `StdRng` stream
-//! (statevector-compatible), while [`StabilizerSimulator::run_batched`]
-//! derives an independent generator per shot from `(seed, shot)` via
-//! [`derive_shot_seed`], so results are invariant under the worker-thread
-//! count.
+//! That contract fixes the seeding discipline: [`StabilizerSimulator::run`]
+//! consumes one sequential `StdRng` stream, exactly as the statevector
+//! engine does, and shots run in order on one thread. A per-shot
+//! `(seed, shot)` discipline, as [`crate::TrajectorySimulator::run_batched`]
+//! uses, would be a different sample from the statevector's, so the
+//! tableau cannot adopt one before the statevector engine does.
 
-use crate::threads::{derive_shot_seed, resolve_threads};
 use crate::{Counts, SimError};
 use qra_circuit::kernel::CliffordOp;
 use qra_circuit::{Circuit, Operation};
@@ -558,8 +557,6 @@ impl TerminalKeys {
 #[derive(Debug)]
 pub struct StabilizerSimulator {
     rng: StdRng,
-    seed: u64,
-    threads: usize,
 }
 
 impl StabilizerSimulator {
@@ -585,18 +582,7 @@ impl StabilizerSimulator {
     pub fn with_seed(seed: u64) -> Self {
         Self {
             rng: StdRng::seed_from_u64(seed),
-            seed,
-            threads: 1,
         }
-    }
-
-    /// Sets the worker-thread count used by
-    /// [`StabilizerSimulator::run_batched`] (`0` = all cores). The
-    /// sequential [`StabilizerSimulator::run`] path ignores it.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        let (resolved, _) = resolve_threads(threads);
-        self.threads = resolved;
-        self
     }
 
     /// Whether every gate of `circuit` is an exact Clifford generator
@@ -624,136 +610,24 @@ impl StabilizerSimulator {
     /// * [`SimError::TooManyClbits`] beyond [`crate::exec::MAX_CLBITS`].
     pub fn run(&mut self, circuit: &Circuit, shots: u64) -> Result<Counts, SimError> {
         let program = StabProgram::lower(circuit)?;
-        if program.terminal {
-            self.run_terminal_sequential(&program, shots)
-        } else {
-            self.run_per_shot_sequential(&program, shots)
-        }
-    }
-
-    /// Runs `circuit` with one independent generator per shot, derived
-    /// from `(seed, shot)` via [`derive_shot_seed`], shot ranges
-    /// partitioned contiguously across workers. Results are invariant
-    /// under the thread count but form a different (equally valid) sample
-    /// than [`StabilizerSimulator::run`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`StabilizerSimulator::run`].
-    pub fn run_batched(&mut self, circuit: &Circuit, shots: u64) -> Result<Counts, SimError> {
-        let program = StabProgram::lower(circuit)?;
-        if program.terminal {
-            self.run_terminal_batched(&program, shots)
-        } else {
-            self.run_per_shot_batched(&program, shots)
-        }
-    }
-
-    /// Evolves the full gate list once, then samples the support per shot.
-    fn run_terminal_sequential(
-        &mut self,
-        program: &StabProgram,
-        shots: u64,
-    ) -> Result<Counts, SimError> {
-        let sampler = TerminalSampler::prepare(program);
         let mut counts = Counts::new(program.num_clbits);
-        for _ in 0..shots {
-            counts.record(sampler.sample(&mut self.rng), 1);
-        }
-        Ok(counts)
-    }
-
-    fn run_terminal_batched(
-        &mut self,
-        program: &StabProgram,
-        shots: u64,
-    ) -> Result<Counts, SimError> {
-        let sampler = TerminalSampler::prepare(program);
-        let seed = self.seed;
-        let worker = |range: std::ops::Range<u64>| {
-            let mut counts = Counts::new(program.num_clbits);
-            for shot in range {
-                let mut rng = StdRng::seed_from_u64(derive_shot_seed(seed, shot));
-                counts.record(sampler.sample(&mut rng), 1);
+        if program.terminal {
+            // Evolve the full gate list once, then sample the support.
+            let sampler = TerminalSampler::prepare(&program);
+            for _ in 0..shots {
+                counts.record(sampler.sample(&mut self.rng), 1);
             }
-            counts
-        };
-        Ok(self.fan_out(shots, program.num_clbits, worker))
-    }
-
-    /// Per-shot tableau replay for mid-circuit measurement/reset, with
-    /// the unitary prefix evolved once and cloned into each shot (it
-    /// consumes no randomness, so caching preserves the draw order).
-    fn run_per_shot_sequential(
-        &mut self,
-        program: &StabProgram,
-        shots: u64,
-    ) -> Result<Counts, SimError> {
-        let prefix = evolve_prefix(program);
-        let mut counts = Counts::new(program.num_clbits);
-        let mut tableau = prefix.clone();
-        for _ in 0..shots {
-            tableau.clone_from(&prefix);
-            let key = replay_suffix(&mut tableau, program, &mut self.rng);
-            counts.record(key, 1);
-        }
-        Ok(counts)
-    }
-
-    fn run_per_shot_batched(
-        &mut self,
-        program: &StabProgram,
-        shots: u64,
-    ) -> Result<Counts, SimError> {
-        let prefix = evolve_prefix(program);
-        let seed = self.seed;
-        let worker = |range: std::ops::Range<u64>| {
-            let mut counts = Counts::new(program.num_clbits);
+        } else {
+            // Replay each shot's tableau from the unitary prefix, evolved
+            // once (it draws no randomness, so the draw order holds).
+            let prefix = evolve_prefix(&program);
             let mut tableau = prefix.clone();
-            for shot in range {
+            for _ in 0..shots {
                 tableau.clone_from(&prefix);
-                let mut rng = StdRng::seed_from_u64(derive_shot_seed(seed, shot));
-                let key = replay_suffix(&mut tableau, program, &mut rng);
-                counts.record(key, 1);
-            }
-            counts
-        };
-        Ok(self.fan_out(shots, program.num_clbits, worker))
-    }
-
-    /// Splits `shots` into contiguous per-worker ranges, runs `worker` on
-    /// each, and merges the histograms (BTreeMap contents are
-    /// insertion-order independent, so the merge is order-insensitive).
-    fn fan_out<F>(&self, shots: u64, num_clbits: usize, worker: F) -> Counts
-    where
-        F: Fn(std::ops::Range<u64>) -> Counts + Sync,
-    {
-        let workers = self.threads.min(shots.max(1) as usize).max(1);
-        if workers == 1 {
-            return worker(0..shots);
-        }
-        let chunk = shots.div_ceil(workers as u64);
-        let mut partials: Vec<Counts> = Vec::new();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers as u64)
-                .map(|t| {
-                    let start = t * chunk;
-                    let end = shots.min(start + chunk);
-                    let worker = &worker;
-                    s.spawn(move || worker(start..end))
-                })
-                .collect();
-            for h in handles {
-                partials.push(h.join().expect("stabilizer worker panicked"));
-            }
-        });
-        let mut counts = Counts::new(num_clbits);
-        for p in partials {
-            for (key, n) in p.iter() {
-                counts.record(key, n);
+                counts.record(replay_suffix(&mut tableau, &program, &mut self.rng), 1);
             }
         }
-        counts
+        Ok(counts)
     }
 }
 
@@ -1024,36 +898,6 @@ mod tests {
             StabilizerSimulator::with_seed(0).run(&c, 1),
             Err(SimError::TooManyQubits { .. })
         ));
-    }
-
-    #[test]
-    fn batched_is_worker_count_invariant() {
-        let c = ghz(6);
-        let base = StabilizerSimulator::with_seed(9)
-            .with_threads(1)
-            .run_batched(&c, 513)
-            .unwrap();
-        for threads in [2, 3, 8] {
-            let other = StabilizerSimulator::with_seed(9)
-                .with_threads(threads)
-                .run_batched(&c, 513)
-                .unwrap();
-            assert_eq!(base, other, "batched counts vary with {threads} threads");
-        }
-    }
-
-    #[test]
-    fn sequential_stream_survives_batched_interleave() {
-        let c = ghz(4);
-        let mut a = StabilizerSimulator::with_seed(5);
-        let r1 = a.run(&c, 100).unwrap();
-        let _ = a.run_batched(&c, 64).unwrap();
-        let r2 = a.run(&c, 100).unwrap();
-        let mut b = StabilizerSimulator::with_seed(5);
-        let s1 = b.run(&c, 100).unwrap();
-        let s2 = b.run(&c, 100).unwrap();
-        assert_eq!(r1, s1);
-        assert_eq!(r2, s2);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Amplitude-level thread-count resolution shared by the simulator
 //! back-ends.
 //!
-//! Every simulator takes a `threads` knob (`with_threads`) that controls
-//! how many scoped worker threads a kernel sweep may use (see
+//! The state-vector, density and trajectory simulators take a `threads`
+//! knob (`with_threads`) that controls how many scoped worker threads a
+//! kernel sweep may use (see
 //! [`qra_circuit::kernel::Kernel::apply_threaded`]). `0` means "one per
 //! available core" and is resolved here, once, at configuration time —
 //! including the case where the runtime query itself fails, which callers

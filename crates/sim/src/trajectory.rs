@@ -9,7 +9,9 @@
 //! Like the state-vector back-end, the trajectory loop runs compiled: the
 //! circuit is lowered once per run call — every gate and every Kraus
 //! operator of every noise site becomes a specialized [`Kernel`] bound to
-//! its qubit tuple — and shots replay the lowered plan. When no gate-level
+//! its qubit tuple — and shots replay the lowered plan. Which channels
+//! follow a gate comes from the gate-noise schedule the compiled density
+//! engine uses too (`noise::GateNoise`). When no gate-level
 //! noise channel is active (each gate op carries zero noise sites), the
 //! leading unitary run is evolved once and cloned into each shot; noise
 //! sites and measurements draw RNG in the exact order of the original
@@ -20,17 +22,19 @@
 //! * [`TrajectorySimulator::run`] — the historical sequential mode: one
 //!   RNG stream threads through all shots in order. Its draw sequence (and
 //!   therefore its histogram for a given seed) is frozen; amplitude-level
-//!   threading ([`TrajectorySimulator::with_threads`]) only parallelizes
-//!   each kernel sweep, which is bit-for-bit identical at every thread
-//!   count.
+//!   threading ([`TrajectorySimulator::with_threads`]) only splits each
+//!   kernel's sweep into ranges that run the sequential sweep code, so it
+//!   is bit-for-bit identical at every thread count.
 //! * [`TrajectorySimulator::run_batched`] — shots are partitioned into
 //!   contiguous per-worker ranges and each shot runs on its own RNG seeded
 //!   from [`derive_shot_seed`]`(seed, shot)`. Because each shot's draws
 //!   depend only on `(seed, shot index)`, the histogram is identical at
 //!   every worker count — but it is a *different* (equally valid) sample
-//!   than `run` produces for the same seed.
+//!   than `run` produces for the same seed. It is the workspace's only
+//!   shot-batched mode; the `trajectory` row of `BENCH_sim.json` shows it
+//!   paying on two cores.
 
-use crate::noise::{KrausChannel, NoiseModel};
+use crate::noise::{GateNoise, KrausChannel, NoiseModel};
 use crate::statevector::collapse_mask;
 use crate::threads::{derive_shot_seed, resolve_threads};
 use crate::{Counts, SimError};
@@ -286,11 +290,10 @@ impl TrajectorySimulator {
                 max: 64,
             });
         }
-        let depol1 = PreparedChannel::build(self.noise.depol_1q, KrausChannel::depolarizing_1q)?;
-        let depol2 = PreparedChannel::build(self.noise.depol_2q, KrausChannel::depolarizing_2q)?;
-        let damp1 = PreparedChannel::build(self.noise.damping_1q, KrausChannel::amplitude_damping)?;
-        let damp2 = PreparedChannel::build(self.noise.damping_2q, KrausChannel::amplitude_damping)?;
-        let deph = PreparedChannel::build(self.noise.dephasing, KrausChannel::phase_damping)?;
+        let gate_noise = GateNoise::lower(&self.noise, |channel| PreparedChannel {
+            unitary_weights: channel.scaled_unitary_weights(),
+            channel,
+        })?;
 
         // Lower the circuit once: gates and Kraus operators become kernels
         // bound to their qubit tuples, in the exact application order of
@@ -302,19 +305,17 @@ impl TrajectorySimulator {
                 Operation::Gate(g) => {
                     let kernel = Kernel::for_gate(g, &inst.qubits, n);
                     let mut noise = Vec::new();
-                    if inst.qubits.len() == 1 {
-                        push_site(&mut noise, &depol1, &inst.qubits, n);
-                        push_site(&mut noise, &damp1, &inst.qubits, n);
-                        push_site(&mut noise, &deph, &inst.qubits, n);
-                    } else {
-                        for pair in inst.qubits.windows(2) {
-                            push_site(&mut noise, &depol2, pair, n);
-                        }
-                        for &q in &inst.qubits {
-                            push_site(&mut noise, &damp2, &[q], n);
-                            push_site(&mut noise, &deph, &[q], n);
-                        }
-                    }
+                    gate_noise.after_gate(&inst.qubits, |prep, qubits| {
+                        noise.push(NoiseSite {
+                            kernels: prep
+                                .channel
+                                .operators()
+                                .iter()
+                                .map(|k| Kernel::from_matrix(k, qubits, n))
+                                .collect(),
+                            weights: prep.unitary_weights.clone(),
+                        })
+                    });
                     plan.push(TrajOp::Gate { kernel, noise });
                 }
                 Operation::Measure => plan.push(TrajOp::Measure {
@@ -474,47 +475,12 @@ fn apply_site(
     Ok(())
 }
 
-/// Lowers a prepared channel onto a qubit tuple, if the channel is active.
-fn push_site(
-    sites: &mut Vec<NoiseSite>,
-    channel: &Option<PreparedChannel>,
-    qubits: &[usize],
-    n: usize,
-) {
-    let Some(prep) = channel else { return };
-    sites.push(NoiseSite {
-        kernels: prep
-            .channel
-            .operators()
-            .iter()
-            .map(|k| Kernel::from_matrix(k, qubits, n))
-            .collect(),
-        weights: prep.unitary_weights.clone(),
-    });
-}
-
-type ChannelCtor = fn(f64) -> Result<KrausChannel, SimError>;
-
 /// A channel with its precomputed sampling strategy.
 #[derive(Debug)]
 struct PreparedChannel {
     channel: KrausChannel,
     /// `Some` for scaled-unitary channels (state-independent weights).
     unitary_weights: Option<Vec<f64>>,
-}
-
-impl PreparedChannel {
-    fn build(p: f64, ctor: ChannelCtor) -> Result<Option<Self>, SimError> {
-        if p <= 0.0 {
-            return Ok(None);
-        }
-        let channel = ctor(p)?;
-        let unitary_weights = channel.scaled_unitary_weights();
-        Ok(Some(Self {
-            channel,
-            unitary_weights,
-        }))
-    }
 }
 
 // Kernels only perform the linear application, so Kraus operators

@@ -188,30 +188,3 @@ fn near_clifford_gates_are_rejected_not_approximated() {
         assert!(StabilizerSimulator::with_seed(1).run(&c, 16).is_err());
     }
 }
-
-/// The batched (per-shot seeded) discipline is worker-count invariant
-/// and agrees with itself across thread counts — the property campaign
-/// sharding relies on.
-#[test]
-fn batched_counts_are_worker_invariant() {
-    let n = 6;
-    let mut c = Circuit::new(n);
-    c.h(0);
-    for q in 0..n - 1 {
-        c.cx(q, q + 1);
-    }
-    c.s(2);
-    c.cz(1, 4);
-    c.measure_all();
-    let reference = StabilizerSimulator::with_seed(77)
-        .with_threads(1)
-        .run_batched(&c, 999)
-        .unwrap();
-    for threads in [2usize, 3, 7] {
-        let counts = StabilizerSimulator::with_seed(77)
-            .with_threads(threads)
-            .run_batched(&c, 999)
-            .unwrap();
-        assert_eq!(reference, counts, "diverged at {threads} threads");
-    }
-}
