@@ -21,12 +21,13 @@
 //! `--short` shrinks shots and runs each engine once, for CI smoke runs
 //! (validates the pipeline and the identity contract, not the timing);
 //! `--out` overrides the default `BENCH_sim.json` output path;
-//! `--threads` overrides the amplitude/shot worker count used by the
-//! parallel sections (default: one per available core). Beyond the interpreted-vs-compiled pairs,
-//! three parallel sections exercise the threaded paths — amplitude-level
-//! kernel threading on ≥18-qubit workloads, kernel fusion on rotation
-//! chains, and batched trajectory shots — each asserting its counts are
-//! identical to the sequential run before reporting a speedup.
+//! `--threads` overrides the thread count used by the parallel sections
+//! (default: one per available core). Beyond the interpreted-vs-compiled
+//! pairs, two sections time one thread against `--threads`, each
+//! asserting identical counts before reporting a speedup: `parallel`
+//! (amplitude threading on ≥18-qubit terminal workloads, and shot-range
+//! workers on a 14-qubit mid-circuit GHZ) and `trajectory` (shot-range
+//! workers on noisy trajectories).
 
 use qra::algorithms::{qft, states};
 use qra::prelude::*;
@@ -174,23 +175,9 @@ fn qft_measured(n: usize) -> Circuit {
     c
 }
 
-/// Dense single-qubit rotation chains: `layers` sweeps of H·T·Rz·H per
-/// qubit. Every adjacent pair on a qubit fuses, so this is the fusion
-/// section's best case — and the identity contract's hardest test, since
-/// fused stages must replay bit-for-bit.
-fn rot_chain(n: usize, layers: usize) -> Circuit {
-    let mut c = Circuit::new(n);
-    for layer in 0..layers {
-        for q in 0..n {
-            c.h(q).t(q).rz(0.1 * (layer + 1) as f64, q).h(q);
-        }
-    }
-    c.measure_all();
-    c
-}
-
-/// Past-20-qubit workloads for the amplitude-threading section: wide
-/// terminal circuits whose cost is one big state evolution.
+/// Workloads for the threading section: ≥18-qubit terminal circuits,
+/// whose cost is one big state evolution split across amplitude threads,
+/// and a mid-circuit GHZ, whose shots split across workers.
 fn parallel_workloads(short: bool) -> Vec<Workload> {
     let s = |full: u64, smoke: u64| if short { smoke } else { full };
     vec![
@@ -205,6 +192,12 @@ fn parallel_workloads(short: bool) -> Vec<Workload> {
             circuit: qft_measured(18),
             shots: s(1024, 32),
             seed: 13,
+        },
+        Workload {
+            name: "ghz14_midcircuit",
+            circuit: ghz_midcircuit(14),
+            shots: s(1024, 64),
+            seed: 19,
         },
     ]
 }
@@ -432,25 +425,27 @@ fn main() {
             speedup
         ));
     }
-    // Amplitude-threading section: the same compiled program executed
-    // sequentially and with `threads` workers per kernel sweep. Counts
-    // must be bit-identical (the threaded chunking reproduces the exact
-    // sequential arithmetic per amplitude); the speedup column is what
-    // the thread pool buys on past-20-qubit workloads.
+    // Threading section: the same compiled program executed on one thread
+    // and on `threads`. Terminal programs split each kernel sweep, which
+    // reproduces the sequential arithmetic per amplitude; the mid-circuit
+    // program splits its shots, each drawing from its own generator.
+    // Counts must be bit-identical either way.
     let mut parallel_entries = Vec::new();
     for w in parallel_workloads(short) {
         let program = CompiledProgram::compile(&w.circuit).expect("compile");
-        let (single, single_counts) = time_best(short, || {
-            StatevectorSimulator::with_seed(w.seed)
-                .run_compiled(&program, w.shots)
-                .expect("sequential run")
-        });
-        let (threaded, threaded_counts) = time_best(short, || {
+        let run = |threads| {
             StatevectorSimulator::with_seed(w.seed)
                 .with_threads(threads)
                 .run_compiled(&program, w.shots)
-                .expect("threaded run")
-        });
+                .expect("parallel run")
+        };
+        let (single, single_counts) = time_best(short, || run(1));
+        let (threaded, threaded_counts) = time_best(short, || run(threads));
+        let gate_evals = if program.is_terminal() {
+            w.circuit.gate_count() as u64
+        } else {
+            w.circuit.gate_count() as u64 * w.shots
+        };
         assert_eq!(
             single_counts, threaded_counts,
             "{}: threaded counts diverged from sequential — thread identity broken",
@@ -474,112 +469,53 @@ fn main() {
             w.shots,
             threads,
             degenerate,
-            engine_json(&single, w.shots, w.circuit.gate_count() as u64),
-            engine_json(&threaded, w.shots, w.circuit.gate_count() as u64),
+            engine_json(&single, w.shots, gate_evals),
+            engine_json(&threaded, w.shots, gate_evals),
             speedup
         ));
     }
 
-    // Fusion section: the same circuit compiled with and without adjacent
-    // same-tuple kernel fusion. Fused stage lists replay the identical
-    // per-amplitude arithmetic, so counts must match bit-for-bit; the
-    // fused_away column counts the kernel sweeps eliminated.
-    // Short mode stays at 16 qubits for CI turnaround; full mode uses a
-    // 20-qubit register (16 MiB state, well past last-level cache) where
-    // eliminating whole state sweeps is a memory-bandwidth win rather
-    // than a cache-resident dispatch tradeoff.
-    let mut fusion_entries = Vec::new();
-    {
-        let (n, layers) = if short { (16, 2) } else { (20, 4) };
-        let circuit = rot_chain(n, layers);
-        let name = format!("rot_chain{n}");
-        let shots = if short { 64u64 } else { 1024 };
-        let seed = 17u64;
-        let fused = CompiledProgram::compile(&circuit).expect("fused compile");
-        let unfused = CompiledProgram::compile_unfused(&circuit).expect("unfused compile");
-        let (unfused_time, unfused_counts) = time_best(short, || {
-            StatevectorSimulator::with_seed(seed)
-                .run_compiled(&unfused, shots)
-                .expect("unfused run")
-        });
-        let (fused_time, fused_counts) = time_best(short, || {
-            StatevectorSimulator::with_seed(seed)
-                .run_compiled(&fused, shots)
-                .expect("fused run")
-        });
-        assert_eq!(
-            unfused_counts, fused_counts,
-            "{name}: fused counts diverged from unfused — fusion identity broken"
-        );
-        let speedup = unfused_time.secs / fused_time.secs;
-        eprintln!(
-            "{:>18}  n={} shots={:<5} unfused {:>9.3} ms  fused {:>9.3} ms  {:>6.2}x (fused away {} of {} kernels)",
-            name,
-            n,
-            shots,
-            unfused_time.secs * 1e3,
-            fused_time.secs * 1e3,
-            speedup,
-            fused.fused_away(),
-            unfused.op_count()
-        );
-        fusion_entries.push(format!(
-            "{{\"name\":\"{name}\",\"qubits\":{n},\"gates\":{},\"shots\":{},\"ops_unfused\":{},\"ops_fused\":{},\"fused_away\":{},\"unfused\":{},\"fused\":{},\"speedup\":{:.2},\"identical\":true}}",
-            circuit.gate_count(),
-            shots,
-            unfused.op_count(),
-            fused.op_count(),
-            fused.fused_away(),
-            engine_json(&unfused_time, shots, circuit.gate_count() as u64),
-            engine_json(&fused_time, shots, circuit.gate_count() as u64),
-            speedup
-        ));
-    }
-
-    // Trajectory batch section: per-shot-seeded batched execution at one
-    // worker vs `threads` workers. The histogram depends only on
-    // (seed, shot index), so worker counts must not change a single count;
-    // the speedup row tracks shot-level scaling.
+    // Trajectory section: `run` on one thread against `threads`. Every
+    // shot draws from its own (seed, shot) generator, so the thread count
+    // must not change a single count; the speedup tracks shot-range
+    // scaling.
     let mut trajectory_entries = Vec::new();
     {
         let circuit = ghz_midcircuit(if short { 10 } else { 14 });
         let shots = if short { 64u64 } else { 2048 };
         let noise = DevicePreset::LowNoise.noise_model();
         let seed = 23u64;
-        let (single, single_counts) = time_best(short, || {
-            TrajectorySimulator::new(noise.clone(), seed)
-                .run_batched(&circuit, shots)
-                .expect("single-worker batch")
-        });
-        let (batched, batched_counts) = time_best(short, || {
+        let run = |threads| {
             TrajectorySimulator::new(noise.clone(), seed)
                 .with_threads(threads)
-                .run_batched(&circuit, shots)
-                .expect("multi-worker batch")
-        });
+                .run(&circuit, shots)
+                .expect("trajectory run")
+        };
+        let (single, single_counts) = time_best(short, || run(1));
+        let (threaded, threaded_counts) = time_best(short, || run(threads));
         assert_eq!(
-            single_counts, batched_counts,
-            "trajectory batch: worker count changed the histogram — shot-seed identity broken"
+            single_counts, threaded_counts,
+            "trajectory: thread count changed the histogram — shot-seed identity broken"
         );
-        let speedup = single.secs / batched.secs;
+        let speedup = single.secs / threaded.secs;
         eprintln!(
-            "{:>18}  n={:<2} shots={:<5} 1-worker {:>9.3} ms  {}-worker {:>9.3} ms  {:>6.2}x",
+            "{:>18}  n={:<2} shots={:<5} 1-thread {:>9.3} ms  {}-thread {:>9.3} ms  {:>6.2}x",
             "traj_ghz_mid",
             circuit.num_qubits(),
             shots,
             single.secs * 1e3,
             threads,
-            batched.secs * 1e3,
+            threaded.secs * 1e3,
             speedup
         );
         trajectory_entries.push(format!(
-            "{{\"name\":\"traj_ghz_midcircuit\",\"qubits\":{},\"shots\":{},\"workers\":{},\"degenerate\":{},\"single\":{},\"batched\":{},\"speedup\":{:.2},\"identical\":true}}",
+            "{{\"name\":\"traj_ghz_midcircuit\",\"qubits\":{},\"shots\":{},\"threads\":{},\"degenerate\":{},\"single\":{},\"threaded\":{},\"speedup\":{:.2},\"identical\":true}}",
             circuit.num_qubits(),
             shots,
             threads,
             degenerate,
             engine_json(&single, shots, circuit.gate_count() as u64),
-            engine_json(&batched, shots, circuit.gate_count() as u64),
+            engine_json(&threaded, shots, circuit.gate_count() as u64),
             speedup
         ));
     }
@@ -672,7 +608,7 @@ fn main() {
     }
 
     let json = format!(
-        "{{\"bench\":\"sim_throughput\",\"short\":{},\"min_runs_per_engine\":{},\"min_secs_per_engine\":{},\"cores\":{},\"threads\":{},\"workloads\":[{}],\"density\":[{}],\"parallel\":[{}],\"fusion\":[{}],\"trajectory\":[{}],\"stabilizer\":[{}]}}",
+        "{{\"bench\":\"sim_throughput\",\"short\":{},\"min_runs_per_engine\":{},\"min_secs_per_engine\":{},\"cores\":{},\"threads\":{},\"workloads\":[{}],\"density\":[{}],\"parallel\":[{}],\"trajectory\":[{}],\"stabilizer\":[{}]}}",
         short,
         if short { 1 } else { 3 },
         if short { 0.0 } else { 1.0 },
@@ -681,7 +617,6 @@ fn main() {
         entries.join(","),
         density_entries.join(","),
         parallel_entries.join(","),
-        fusion_entries.join(","),
         trajectory_entries.join(","),
         stabilizer_entries.join(",")
     );

@@ -15,10 +15,7 @@
 //! * [`KernelClass::Permutation`] — classical bit-shuffles (`X`, `CX`,
 //!   `CCX`, `SWAP`, `CSWAP`): pure amplitude moves, no arithmetic;
 //! * [`KernelClass::Generic`] — the dense fallback, with its gather
-//!   offsets precomputed and its scratch buffer caller-provided;
-//! * [`KernelClass::Fused`] — a run of adjacent single-qubit or
-//!   same-tuple diagonal kernels fused by [`Kernel::fuse`] into one
-//!   amplitude sweep.
+//!   offsets precomputed and its scratch buffer caller-provided.
 //!
 //! Classification is structural (from the matrix, not the gate name), so
 //! arbitrary [`Gate::Unitary`] gates and even non-unitary Kraus operators
@@ -27,12 +24,12 @@
 //! # One sweep per class
 //!
 //! Each class is applied by one sweep over a range of independent work
-//! items: amplitude pairs for one-qubit and fused one-qubit kernels,
-//! amplitudes for `k ≥ 2` diagonals, sub-block bases for permutations and
-//! the dense fallback. Distinct items touch disjoint amplitudes.
-//! [`Kernel::apply`] sweeps the whole range; [`Kernel::apply_threaded`]
-//! splits it into contiguous per-thread ranges and runs the same sweep on
-//! each, so a threaded application is the sequential one by construction.
+//! items: amplitude pairs for one-qubit kernels, amplitudes for `k ≥ 2`
+//! diagonals, sub-block bases for permutations and the dense fallback.
+//! Distinct items touch disjoint amplitudes. [`Kernel::apply`] sweeps the
+//! whole range; [`Kernel::apply_threaded`] splits it into contiguous
+//! per-thread ranges and runs the same sweep on each, so a threaded
+//! application is the sequential one by construction.
 //!
 //! # Numerical contract
 //!
@@ -43,13 +40,10 @@
 //! bit-for-bit identical across kernel classes — the seed-compatibility
 //! contract the compiled execution engine in `qra-sim` relies on.
 //!
-//! Fusion and threading are held to a *stronger* contract: bit-for-bit
-//! equality with the sequential unfused kernels, not merely
-//! modulo-sign-of-zero. A fused kernel is **loop fusion**, never a matrix
-//! product — each constituent stage's arithmetic runs unchanged, per
-//! amplitude pair, in program order — and threading only re-partitions
-//! the work items, so every amplitude sees the identical operation
-//! sequence at any thread count.
+//! Threading is held to a *stronger* contract: bit-for-bit equality with
+//! the sequential kernel, not merely modulo-sign-of-zero. It only
+//! re-partitions the work items, so every amplitude sees the identical
+//! operation sequence at any thread count.
 
 use crate::Gate;
 use qra_math::{CMatrix, C64};
@@ -72,11 +66,28 @@ pub enum KernelClass {
     Permutation,
     /// Dense matrix fallback.
     Generic,
-    /// A fused run of single-qubit or same-tuple diagonal kernels.
-    Fused,
 }
 
 impl KernelClass {
+    /// Counts `classes` per class, in declaration order, leaving out
+    /// classes that never occur.
+    pub fn histogram(classes: impl IntoIterator<Item = KernelClass>) -> Vec<(KernelClass, usize)> {
+        let all = [
+            KernelClass::Single,
+            KernelClass::Diagonal,
+            KernelClass::Permutation,
+            KernelClass::Generic,
+        ];
+        let mut counts = [0usize; 4];
+        for class in classes {
+            counts[class as usize] += 1;
+        }
+        all.into_iter()
+            .zip(counts)
+            .filter(|&(_, c)| c > 0)
+            .collect()
+    }
+
     /// Short lowercase name used in reports and benches.
     pub fn name(&self) -> &'static str {
         match self {
@@ -84,7 +95,6 @@ impl KernelClass {
             KernelClass::Diagonal => "diagonal",
             KernelClass::Permutation => "permutation",
             KernelClass::Generic => "generic",
-            KernelClass::Fused => "fused",
         }
     }
 }
@@ -255,31 +265,11 @@ enum Body {
         offsets: Vec<usize>,
         gate_mask: usize,
     },
-    /// Fused chain of `k = 1` kernels on one qubit, swept in
-    /// cache-resident blocks of pairs.
-    Fused { stages: Vec<Stage>, mask: usize },
-    /// Fused chain of `k ≥ 2` diagonals on one qubit tuple: the sub-index
-    /// is computed once per amplitude and every stage's factor applied in
-    /// program order.
-    FusedDiag {
-        diags: Vec<Vec<C64>>,
-        shifts: Vec<usize>,
-    },
 }
-
-/// Pair ordinals per fused block: two 32 KiB amplitude streams, sized to
-/// stay cache-resident while a stage chain replays over the block.
-const FUSED_BLOCK_PAIRS: usize = 1 << 11;
 
 impl Body {
     /// Applies the body to the work items `start..end` (see the module
     /// docs for what an item is).
-    ///
-    /// A fused one-qubit chain is stage-interchanged: each stage sweeps a
-    /// cache-resident block of pairs as a tight loop before the next stage
-    /// revisits the block. Stages touch disjoint pairs independently, so
-    /// every amplitude still undergoes exactly its standalone kernels'
-    /// arithmetic in stage order.
     ///
     /// # Safety
     ///
@@ -291,32 +281,11 @@ impl Body {
             Body::OneQubit { stage, mask } => {
                 stage.sweep(ptr, *mask, start, end);
             }
-            Body::Fused { stages, mask } => {
-                let mut block = start;
-                while block < end {
-                    let stop = end.min(block + FUSED_BLOCK_PAIRS);
-                    for stage in stages {
-                        stage.sweep(ptr, *mask, block, stop);
-                    }
-                    block = stop;
-                }
-            }
             Body::Diagonal { diag, shifts } => {
                 for i in start..end {
                     let d = diag[sub_index(i, shifts)];
                     if !exact_one(d) {
                         *ptr.add(i) *= d;
-                    }
-                }
-            }
-            Body::FusedDiag { diags, shifts } => {
-                for i in start..end {
-                    let s = sub_index(i, shifts);
-                    for diag in diags {
-                        let d = diag[s];
-                        if !exact_one(d) {
-                            *ptr.add(i) *= d;
-                        }
                     }
                 }
             }
@@ -587,7 +556,6 @@ impl Kernel {
             | Body::Diagonal { .. } => KernelClass::Diagonal,
             Body::Permutation { .. } => KernelClass::Permutation,
             Body::Generic { .. } => KernelClass::Generic,
-            Body::Fused { .. } | Body::FusedDiag { .. } => KernelClass::Fused,
         }
     }
 
@@ -601,7 +569,7 @@ impl Kernel {
     /// or `Y`, a one-qubit diagonal one of `I`/`S`/`S†`/`Z`, a two-qubit
     /// diagonal `CZ`, and a permutation `X`/`CX`/`SWAP`. Entries are
     /// compared exactly against the generator matrices (see
-    /// [`CliffordOp::from_unitary`]); fused and generic kernels are never
+    /// [`CliffordOp::from_unitary`]); generic kernels are never
     /// Clifford-tagged.
     pub fn as_clifford(&self) -> Option<CliffordOp> {
         let n = self.dim.trailing_zeros() as usize;
@@ -667,82 +635,11 @@ impl Kernel {
         }
     }
 
-    /// Number of original kernels folded into this one (1 when unfused).
-    pub fn fused_stages(&self) -> usize {
-        match &self.body {
-            Body::Fused { stages, .. } => stages.len(),
-            Body::FusedDiag { diags, .. } => diags.len(),
-            _ => 1,
-        }
-    }
-
-    /// The stage list of a fusible 1-qubit kernel plus its split mask.
-    fn single_stages(&self) -> Option<(Vec<Stage>, usize)> {
-        match &self.body {
-            Body::OneQubit { stage, mask } => Some((vec![*stage], *mask)),
-            Body::Fused { stages, mask } => Some((stages.clone(), *mask)),
-            _ => None,
-        }
-    }
-
-    /// The diagonal chain of a fusible `k ≥ 2` diagonal kernel plus its
-    /// bit shifts.
-    fn diag_stages(&self) -> Option<(Vec<Vec<C64>>, &[usize])> {
-        match &self.body {
-            Body::Diagonal { diag, shifts } => Some((vec![diag.clone()], shifts)),
-            Body::FusedDiag { diags, shifts } => Some((diags.clone(), shifts)),
-            _ => None,
-        }
-    }
-
-    /// Fuses `self` (applied first) with `next` (applied second) into one
-    /// kernel when both act on the same qubit tuple and both are
-    /// single-qubit or diagonal. Returns `None` when the pair is not
-    /// fusible (different tuples, or a permutation/dense factor).
-    ///
-    /// Fusion is **loop fusion**, not a matrix product: the fused kernel
-    /// replays each constituent's arithmetic per amplitude in program
-    /// order, so applying it is bit-for-bit identical to applying the two
-    /// kernels back-to-back — while sweeping the state once instead of
-    /// twice.
-    pub fn fuse(&self, next: &Kernel) -> Option<Kernel> {
-        if self.dim != next.dim {
-            return None;
-        }
-        if let (Some((mut a, mask_a)), Some((b, mask_b))) =
-            (self.single_stages(), next.single_stages())
-        {
-            if mask_a == mask_b {
-                a.extend(b);
-                return Some(Kernel {
-                    body: Body::Fused {
-                        stages: a,
-                        mask: mask_a,
-                    },
-                    dim: self.dim,
-                });
-            }
-        }
-        if let (Some((mut a, shifts_a)), Some((b, shifts_b))) =
-            (self.diag_stages(), next.diag_stages())
-        {
-            if shifts_a == shifts_b {
-                let shifts = shifts_a.to_vec();
-                a.extend(b);
-                return Some(Kernel {
-                    body: Body::FusedDiag { diags: a, shifts },
-                    dim: self.dim,
-                });
-            }
-        }
-        None
-    }
-
     /// The number of work items [`Body::sweep`] walks for this kernel.
     fn items(&self) -> usize {
         match &self.body {
-            Body::OneQubit { .. } | Body::Fused { .. } => self.dim / 2,
-            Body::Diagonal { .. } | Body::FusedDiag { .. } => self.dim,
+            Body::OneQubit { .. } => self.dim / 2,
+            Body::Diagonal { .. } => self.dim,
             Body::Permutation { offsets, .. } | Body::Generic { offsets, .. } => {
                 self.dim / offsets.len()
             }
@@ -1082,14 +979,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_kernels_are_never_clifford() {
-        let a = Kernel::for_gate(&Gate::H, &[0], 2);
-        let b = Kernel::for_gate(&Gate::H, &[0], 2);
-        let fused = a.fuse(&b).unwrap();
-        assert_eq!(fused.as_clifford(), None);
-    }
-
-    #[test]
     fn identity_is_skipped_diagonal() {
         let k = Kernel::for_gate(&Gate::I, &[0], 2);
         assert_eq!(k.class(), KernelClass::Diagonal);
@@ -1215,85 +1104,6 @@ mod tests {
         assert_eq!(KernelClass::Diagonal.name(), "diagonal");
         assert_eq!(KernelClass::Permutation.name(), "permutation");
         assert_eq!(KernelClass::Generic.name(), "generic");
-        assert_eq!(KernelClass::Fused.name(), "fused");
-    }
-
-    /// Fused single-qubit chains must be bit-for-bit equal to applying
-    /// the constituent kernels back-to-back — the loop-fusion contract.
-    #[test]
-    fn fused_single_qubit_chain_is_bit_identical() {
-        let mut rng = StdRng::seed_from_u64(55);
-        let n = 6;
-        let dim = 1 << n;
-        for q in [0usize, 3, 5] {
-            let chain = [
-                Gate::H,
-                Gate::T,
-                Gate::Ry(rng.gen_range(-2.0..2.0)),
-                Gate::S,
-                Gate::U3(0.3, -0.7, 1.1),
-            ];
-            let kernels: Vec<Kernel> = chain.iter().map(|g| Kernel::for_gate(g, &[q], n)).collect();
-            let mut fused = kernels[0].clone();
-            for k in &kernels[1..] {
-                fused = fused.fuse(k).expect("single-qubit chain must fuse");
-            }
-            assert_eq!(fused.class(), KernelClass::Fused);
-            assert_eq!(fused.fused_stages(), chain.len());
-            let state = random_state(&mut rng, dim);
-            let mut seq = state.clone().into_inner();
-            let mut scratch = Vec::new();
-            for k in &kernels {
-                k.apply(&mut seq, &mut scratch);
-            }
-            let mut one = state.into_inner();
-            fused.apply(&mut one, &mut scratch);
-            assert_eq!(seq, one, "fused chain on qubit {q} drifted");
-        }
-    }
-
-    /// Fused multi-qubit diagonal chains (same tuple) are bit-identical
-    /// to sequential application too.
-    #[test]
-    fn fused_diagonal_chain_is_bit_identical() {
-        let mut rng = StdRng::seed_from_u64(56);
-        let n = 6;
-        let dim = 1 << n;
-        let qs = [1usize, 4];
-        let a = Kernel::for_gate(&Gate::Cp(0.7), &qs, n);
-        let b = Kernel::for_gate(&Gate::Crz(-1.2), &qs, n);
-        let c = Kernel::for_gate(&Gate::Cz, &qs, n);
-        let fused = a.fuse(&b).unwrap().fuse(&c).unwrap();
-        assert_eq!(fused.class(), KernelClass::Fused);
-        assert_eq!(fused.fused_stages(), 3);
-        let state = random_state(&mut rng, dim);
-        let mut seq = state.clone().into_inner();
-        let mut scratch = Vec::new();
-        for k in [&a, &b, &c] {
-            k.apply(&mut seq, &mut scratch);
-        }
-        let mut one = state.into_inner();
-        fused.apply(&mut one, &mut scratch);
-        assert_eq!(seq, one, "fused diagonal chain drifted");
-    }
-
-    #[test]
-    fn unfusible_pairs_are_rejected() {
-        let n = 4;
-        let h0 = Kernel::for_gate(&Gate::H, &[0], n);
-        let h1 = Kernel::for_gate(&Gate::H, &[1], n);
-        let cx = Kernel::for_gate(&Gate::Cx, &[0, 1], n);
-        let cz01 = Kernel::for_gate(&Gate::Cz, &[0, 1], n);
-        let cz12 = Kernel::for_gate(&Gate::Cz, &[1, 2], n);
-        let ch = Kernel::for_gate(&Gate::Ch, &[0, 1], n);
-        assert!(h0.fuse(&h1).is_none(), "different qubits must not fuse");
-        assert!(h0.fuse(&cx).is_none(), "permutation must not fuse");
-        assert!(cz01.fuse(&cz12).is_none(), "different tuples must not fuse");
-        assert!(cz01.fuse(&ch).is_none(), "dense factor must not fuse");
-        assert!(
-            h0.fuse(&Kernel::for_gate(&Gate::H, &[0], 5)).is_none(),
-            "different register widths must not fuse"
-        );
     }
 
     /// The threaded sweep must be bit-for-bit equal to the sequential
@@ -1309,11 +1119,7 @@ mod tests {
         let cp = Kernel::for_gate(&Gate::Cp(0.4), &[3, 9], n);
         let ccx = Kernel::for_gate(&Gate::Ccx, &[1, 5, 8], n);
         let cu = Kernel::for_gate(&Gate::Cu3(0.2, 0.5, -0.9), &[4, 10], n);
-        let fused = h.fuse(&Kernel::for_gate(&Gate::S, &[2], n)).unwrap();
-        let fused_diag = cp
-            .fuse(&Kernel::for_gate(&Gate::Crz(1.3), &[3, 9], n))
-            .unwrap();
-        for kernel in [&h, &t, &cp, &ccx, &cu, &fused, &fused_diag] {
+        for kernel in [&h, &t, &cp, &ccx, &cu] {
             let state = random_state(&mut rng, dim);
             let mut seq = state.clone().into_inner();
             let mut scratch = Vec::new();
@@ -1350,8 +1156,7 @@ mod tests {
     /// 4 and 16 threads (three threads split ranges inside a run), equals
     /// the dense reference `apply_gate_inplace` bit for bit up to the sign
     /// of zero, with qubit 0, n − 1 or n − 2 first (split masks dim/2, 1
-    /// and 2: long runs, single pairs, short runs). A fused kernel is
-    /// checked against its constituents applied in order.
+    /// and 2: long runs, single pairs, short runs).
     #[test]
     fn apply_threaded_and_apply_match_the_dense_reference_bitwise() {
         let canon = |v: &[C64]| -> Vec<[u64; 2]> {
@@ -1366,63 +1171,42 @@ mod tests {
         // low amplitude of each pair.
         let phase = C64::new(0.3f64.cos(), 0.3f64.sin());
         let phase_low = Gate::unitary(CMatrix::diagonal(&[phase, C64::one()]), "p_low").unwrap();
-        let cases: Vec<(Vec<Gate>, KernelClass)> = vec![
-            (vec![Gate::H], KernelClass::Single),
-            (vec![Gate::Ry(-0.8)], KernelClass::Single),
-            (vec![Gate::T], KernelClass::Diagonal),
-            (vec![Gate::Rz(1.3)], KernelClass::Diagonal),
-            (vec![phase_low], KernelClass::Diagonal),
-            (vec![Gate::Cp(0.4)], KernelClass::Diagonal),
-            (vec![Gate::Ccz], KernelClass::Diagonal),
-            (vec![Gate::X], KernelClass::Permutation),
-            (vec![Gate::Cx], KernelClass::Permutation),
-            (vec![Gate::Swap], KernelClass::Permutation),
-            (vec![Gate::Ccx], KernelClass::Permutation),
-            (vec![Gate::Ch], KernelClass::Generic),
-            (vec![Gate::Cu3(0.3, 0.2, 0.1)], KernelClass::Generic),
-            (
-                vec![
-                    Gate::H,
-                    Gate::T,
-                    Gate::Ry(0.9),
-                    Gate::S,
-                    Gate::U3(0.3, -0.7, 1.1),
-                ],
-                KernelClass::Fused,
-            ),
-            (
-                vec![Gate::Cp(0.7), Gate::Crz(-1.2), Gate::Cz],
-                KernelClass::Fused,
-            ),
+        let cases: Vec<(Gate, KernelClass)> = vec![
+            (Gate::H, KernelClass::Single),
+            (Gate::Ry(-0.8), KernelClass::Single),
+            (Gate::T, KernelClass::Diagonal),
+            (Gate::Rz(1.3), KernelClass::Diagonal),
+            (phase_low, KernelClass::Diagonal),
+            (Gate::Cp(0.4), KernelClass::Diagonal),
+            (Gate::Ccz, KernelClass::Diagonal),
+            (Gate::X, KernelClass::Permutation),
+            (Gate::Cx, KernelClass::Permutation),
+            (Gate::Swap, KernelClass::Permutation),
+            (Gate::Ccx, KernelClass::Permutation),
+            (Gate::Ch, KernelClass::Generic),
+            (Gate::Cu3(0.3, 0.2, 0.1), KernelClass::Generic),
         ];
-        for (chain, class) in cases {
-            let k = chain[0].num_qubits();
+        for (gate, class) in cases {
+            let k = gate.num_qubits();
             let first: Vec<usize> = (0..k).collect();
             let last: Vec<usize> = (0..k).map(|j| n - 1 - j).collect();
             let next_to_last: Vec<usize> = (0..k).map(|j| n - 2 - j).collect();
             for qubits in [first, last, next_to_last] {
-                let kernel = chain[1..]
-                    .iter()
-                    .map(|g| Kernel::for_gate(g, &qubits, n))
-                    .fold(Kernel::for_gate(&chain[0], &qubits, n), |f, g| {
-                        f.fuse(&g).expect("chain fuses")
-                    });
-                assert_eq!(kernel.class(), class, "{chain:?} on {qubits:?}");
+                let kernel = Kernel::for_gate(&gate, &qubits, n);
+                assert_eq!(kernel.class(), class, "{gate} on {qubits:?}");
                 let state = random_state(&mut rng, 1 << n);
                 let mut reference = state.clone();
-                for g in &chain {
-                    crate::circuit::apply_gate_inplace(&mut reference, &g.matrix(), &qubits, n);
-                }
+                crate::circuit::apply_gate_inplace(&mut reference, &gate.matrix(), &qubits, n);
                 let want = canon(reference.as_slice());
                 let mut seq = state.clone().into_inner();
                 kernel.apply(&mut seq, &mut Vec::new());
-                assert!(canon(&seq) == want, "apply: {chain:?} on {qubits:?}");
+                assert!(canon(&seq) == want, "apply: {gate} on {qubits:?}");
                 for threads in [2usize, 3, 4, 16] {
                     let mut par = state.clone().into_inner();
                     kernel.apply_threaded(&mut par, &mut Vec::new(), threads);
                     assert!(
                         canon(&par) == want,
-                        "{threads} threads: {chain:?} on {qubits:?}"
+                        "{threads} threads: {gate} on {qubits:?}"
                     );
                 }
             }

@@ -2016,10 +2016,12 @@ pub fn usage() -> String {
      \n\
      STATE SPECS: ghz | bell | w | plus | zero | basis:IDX | set:I1;I2;… | amps:re,im;…\n\
      \n\
-     --sim-threads T lets each simulator parallelize its amplitude sweeps\n\
-     over T threads (0 = auto; campaigns default to max(1, cores / jobs) so\n\
-     the two layers multiply to at most the machine's cores). Results are\n\
-     bit-identical at every thread count.\n\
+     --sim-threads T gives each simulator T threads (0 = auto; campaigns\n\
+     default to max(1, cores / jobs) so the two layers multiply to at most\n\
+     the machine's cores). Runs simulated shot by shot (ideal programs\n\
+     with a mid-circuit measure or reset, noisy trajectories) split their\n\
+     shots across the threads; other runs split their amplitude sweeps.\n\
+     Results are bit-identical at every thread count.\n\
      --shard I/N runs shard I of N and emits a partial: a slice of the cell\n\
      list for a single campaign, or a slice of the (point x cell) unit grid\n\
      when combined with --sweep. 'campaign merge' reassembles either kind of\n\

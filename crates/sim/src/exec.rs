@@ -18,13 +18,12 @@
 //! * the **unitary prefix length** — the run of leading gate ops before the
 //!   first measure/reset — is recorded so per-shot execution can evolve the
 //!   prefix once and clone the cached state instead of replaying from
-//!   `|0…0⟩`;
-//! * adjacent single-qubit kernels on the same qubit and adjacent
-//!   diagonal kernels on the same qubit tuple **fuse** into one
-//!   [`KernelClass::Fused`] sweep ([`Kernel::fuse`] is loop fusion — the
-//!   constituent arithmetic replays unchanged per amplitude, so fused
-//!   programs are bit-for-bit identical to unfused ones; see
-//!   [`CompiledProgram::compile_unfused`]).
+//!   `|0…0⟩`.
+//!
+//! Each gate stays its own kernel. Merging adjacent one-qubit or diagonal
+//! kernels into one sweep ("fusion") was measured and removed: on the
+//! twenty `assert_cli` circuits it saved nothing at 1024 shots and cost
+//! compile time (DESIGN.md §5).
 //!
 //! Lowering never consumes randomness and kernels are numerically
 //! equivalent to the dense interpreter up to the sign of zero, so a
@@ -95,22 +94,6 @@ impl CompiledProgram {
     /// * [`SimError::TooManyQubits`] beyond [`MAX_QUBITS`];
     /// * [`SimError::TooManyClbits`] beyond [`MAX_CLBITS`].
     pub fn compile(circuit: &Circuit) -> Result<CompiledProgram, SimError> {
-        Self::compile_inner(circuit, true)
-    }
-
-    /// Lowers `circuit` without the kernel-fusion pass. Fusion is
-    /// bit-for-bit neutral (loop fusion replays each constituent's
-    /// arithmetic unchanged), so this exists for the identity tests that
-    /// prove exactly that, and for perf A/B comparisons.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CompiledProgram::compile`].
-    pub fn compile_unfused(circuit: &Circuit) -> Result<CompiledProgram, SimError> {
-        Self::compile_inner(circuit, false)
-    }
-
-    fn compile_inner(circuit: &Circuit, fuse: bool) -> Result<CompiledProgram, SimError> {
         let n = circuit.num_qubits();
         if n > MAX_QUBITS {
             return Err(SimError::TooManyQubits {
@@ -124,7 +107,7 @@ impl CompiledProgram {
                 max: MAX_CLBITS,
             });
         }
-        let mut ops = Vec::new();
+        let mut ops = Vec::with_capacity(circuit.instructions().len());
         let mut measures = Vec::new();
         // Qubits measured so far; n ≤ 24 fits a u32 bitmask, replacing the
         // interpreter's O(m²) Vec::contains scans.
@@ -138,19 +121,8 @@ impl CompiledProgram {
                     if inst.qubits.iter().any(|&q| measured & (1 << q) != 0) {
                         terminal = false;
                     }
-                    // Clifford recognition happens per gate, before fusion
-                    // can merge generators into an unrecognizable chain.
                     clifford &= CliffordOp::from_gate(g, &inst.qubits).is_some();
-                    let kernel = Kernel::for_gate(g, &inst.qubits, n);
-                    if fuse {
-                        if let Some(ExecOp::Apply(prev)) = ops.last_mut() {
-                            if let Some(fused) = prev.fuse(&kernel) {
-                                *prev = fused;
-                                continue;
-                            }
-                        }
-                    }
-                    ops.push(ExecOp::Apply(kernel));
+                    ops.push(ExecOp::Apply(Kernel::for_gate(g, &inst.qubits, n)));
                 }
                 Operation::Measure => {
                     let q = inst.qubits[0];
@@ -239,45 +211,11 @@ impl CompiledProgram {
 
     /// Histogram of kernel specialization classes, for perf introspection.
     pub fn class_histogram(&self) -> Vec<(KernelClass, usize)> {
-        let mut counts = [0usize; 5];
-        for op in &self.ops {
-            let class = match op {
-                ExecOp::Apply(k) => k.class(),
-                ExecOp::Measure { .. } => continue,
-                ExecOp::Reset { flip, .. } => flip.class(),
-            };
-            let slot = match class {
-                KernelClass::Single => 0,
-                KernelClass::Diagonal => 1,
-                KernelClass::Permutation => 2,
-                KernelClass::Generic => 3,
-                KernelClass::Fused => 4,
-            };
-            counts[slot] += 1;
-        }
-        [
-            KernelClass::Single,
-            KernelClass::Diagonal,
-            KernelClass::Permutation,
-            KernelClass::Generic,
-            KernelClass::Fused,
-        ]
-        .into_iter()
-        .zip(counts)
-        .filter(|&(_, c)| c > 0)
-        .collect()
-    }
-
-    /// Number of original gate kernels folded away by fusion: the sum of
-    /// `fused_stages() - 1` over all apply ops.
-    pub fn fused_away(&self) -> usize {
-        self.ops
-            .iter()
-            .map(|op| match op {
-                ExecOp::Apply(k) => k.fused_stages() - 1,
-                _ => 0,
-            })
-            .sum()
+        KernelClass::histogram(self.ops.iter().filter_map(|op| match op {
+            ExecOp::Apply(k) => Some(k.class()),
+            ExecOp::Measure { .. } => None,
+            ExecOp::Reset { flip, .. } => Some(flip.class()),
+        }))
     }
 
     pub(crate) fn ops(&self) -> &[ExecOp] {
@@ -364,14 +302,6 @@ mod tests {
         let mut rz = Circuit::new(1);
         rz.rz(0.5, 0);
         assert!(!CompiledProgram::compile(&rz).unwrap().is_clifford());
-
-        // Fusion must not hide the per-gate classification: h·t·h fuses
-        // into one kernel but the program is still non-Clifford.
-        let mut fused = Circuit::new(1);
-        fused.h(0).t(0).h(0);
-        let p = CompiledProgram::compile(&fused).unwrap();
-        assert_eq!(p.fused_away(), 2);
-        assert!(!p.is_clifford());
     }
 
     #[test]
@@ -383,32 +313,6 @@ mod tests {
                 max: 24
             })
         ));
-    }
-
-    #[test]
-    fn adjacent_same_qubit_gates_fuse() {
-        let mut c = Circuit::new(2);
-        c.h(0).t(0).h(0).cx(0, 1);
-        c.measure_all();
-        let p = CompiledProgram::compile(&c).unwrap();
-        // h·t·h fuse into one kernel; cx and the two measures remain.
-        assert_eq!(p.op_count(), 4);
-        assert_eq!(p.fused_away(), 2);
-        assert!(p.class_histogram().contains(&(KernelClass::Fused, 1)));
-        assert_eq!(p.prefix_len(), 2);
-        assert!(p.is_terminal());
-        let u = CompiledProgram::compile_unfused(&c).unwrap();
-        assert_eq!(u.op_count(), 6);
-        assert_eq!(u.fused_away(), 0);
-    }
-
-    #[test]
-    fn gates_on_different_qubits_do_not_fuse() {
-        let mut c = Circuit::new(2);
-        c.h(0).h(1);
-        let p = CompiledProgram::compile(&c).unwrap();
-        assert_eq!(p.op_count(), 2);
-        assert_eq!(p.fused_away(), 0);
     }
 
     #[test]

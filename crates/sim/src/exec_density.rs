@@ -293,34 +293,11 @@ impl CompiledDensityProgram {
     /// terms, not kernels; [`CompiledDensityProgram::kraus_terms`] counts
     /// them.
     pub fn class_histogram(&self) -> Vec<(KernelClass, usize)> {
-        let mut counts = [0usize; 5];
-        let mut bump = |class: KernelClass| {
-            counts[match class {
-                KernelClass::Single => 0,
-                KernelClass::Diagonal => 1,
-                KernelClass::Permutation => 2,
-                KernelClass::Generic => 3,
-                KernelClass::Fused => 4,
-            }] += 1;
-        };
-        for op in &self.ops {
-            match op {
-                DensityOp::Conjugate { pair, .. } => bump(pair.class()),
-                DensityOp::Channel { .. } | DensityOp::Measure { .. } => {}
-                DensityOp::Reset { flip, .. } => bump(flip.class()),
-            }
-        }
-        [
-            KernelClass::Single,
-            KernelClass::Diagonal,
-            KernelClass::Permutation,
-            KernelClass::Generic,
-            KernelClass::Fused,
-        ]
-        .into_iter()
-        .zip(counts)
-        .filter(|&(_, c)| c > 0)
-        .collect()
+        KernelClass::histogram(self.ops.iter().filter_map(|op| match op {
+            DensityOp::Conjugate { pair, .. } => Some(pair.class()),
+            DensityOp::Channel { .. } | DensityOp::Measure { .. } => None,
+            DensityOp::Reset { flip, .. } => Some(flip.class()),
+        }))
     }
 
     /// Number of lowered Kraus terms across every channel site (one per

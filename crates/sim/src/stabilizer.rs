@@ -33,13 +33,15 @@
 //! `tests/stabilizer_identity.rs` pins the equality over every circuit
 //! family the campaign runner emits.
 //!
-//! That contract fixes the seeding discipline: [`StabilizerSimulator::run`]
-//! consumes one sequential `StdRng` stream, exactly as the statevector
-//! engine does, and shots run in order on one thread. A per-shot
-//! `(seed, shot)` discipline, as [`crate::TrajectorySimulator::run_batched`]
-//! uses, would be a different sample from the statevector's, so the
-//! tableau cannot adopt one before the statevector engine does.
+//! That contract fixes the seeding discipline, which is the statevector
+//! engine's: a terminal program samples from one generator seeded by the
+//! seed, and a per-shot program gives shot `s` its own generator, seeded
+//! by [`derive_shot_seed`](crate::threads::derive_shot_seed)`(seed, s)`,
+//! with one draw per measure or reset. The shots run in order on one
+//! thread through the same shot loop ([`run_shot_ranges`]); the tableau
+//! has no thread knob.
 
+use crate::threads::run_shot_ranges;
 use crate::{Counts, SimError};
 use qra_circuit::kernel::CliffordOp;
 use qra_circuit::{Circuit, Operation};
@@ -556,7 +558,7 @@ impl TerminalKeys {
 /// ```
 #[derive(Debug)]
 pub struct StabilizerSimulator {
-    rng: StdRng,
+    seed: u64,
 }
 
 impl StabilizerSimulator {
@@ -567,12 +569,7 @@ impl StabilizerSimulator {
 
     /// Creates a simulator seeded from the OS entropy source.
     pub fn new() -> Self {
-        Self::with_seed(
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.as_nanos() as u64)
-                .unwrap_or(0x9e37_79b9_7f4a_7c15),
-        )
+        Self::with_seed(StdRng::from_entropy().next_u64())
     }
 
     /// Creates a simulator with a fixed seed. Seed-compatible with
@@ -580,9 +577,7 @@ impl StabilizerSimulator {
     /// bit-identical [`Counts`] on all-Clifford circuits (see the module
     /// docs for the boundary-tie caveat).
     pub fn with_seed(seed: u64) -> Self {
-        Self {
-            rng: StdRng::seed_from_u64(seed),
-        }
+        Self { seed }
     }
 
     /// Whether every gate of `circuit` is an exact Clifford generator
@@ -599,7 +594,8 @@ impl StabilizerSimulator {
             })
     }
 
-    /// Runs `circuit` for `shots` shots on the sequential RNG stream.
+    /// Runs `circuit` for `shots` shots, seeded as the statevector engine
+    /// seeds the same program.
     ///
     /// # Errors
     ///
@@ -608,26 +604,33 @@ impl StabilizerSimulator {
     /// * [`SimError::TooManyQubits`] beyond
     ///   [`StabilizerSimulator::MAX_QUBITS`];
     /// * [`SimError::TooManyClbits`] beyond [`crate::exec::MAX_CLBITS`].
-    pub fn run(&mut self, circuit: &Circuit, shots: u64) -> Result<Counts, SimError> {
+    pub fn run(&self, circuit: &Circuit, shots: u64) -> Result<Counts, SimError> {
         let program = StabProgram::lower(circuit)?;
-        let mut counts = Counts::new(program.num_clbits);
         if program.terminal {
             // Evolve the full gate list once, then sample the support.
             let sampler = TerminalSampler::prepare(&program);
+            let mut rng = StdRng::seed_from_u64(self.seed);
+            let mut counts = Counts::new(program.num_clbits);
             for _ in 0..shots {
-                counts.record(sampler.sample(&mut self.rng), 1);
+                counts.record(sampler.sample(&mut rng), 1);
             }
-        } else {
-            // Replay each shot's tableau from the unitary prefix, evolved
-            // once (it draws no randomness, so the draw order holds).
-            let prefix = evolve_prefix(&program);
-            let mut tableau = prefix.clone();
-            for _ in 0..shots {
-                tableau.clone_from(&prefix);
-                counts.record(replay_suffix(&mut tableau, &program, &mut self.rng), 1);
-            }
+            return Ok(counts);
         }
-        Ok(counts)
+        // Replay each shot's tableau from the unitary prefix, evolved once
+        // (it draws nothing, so evolving it once changes no shot's draws).
+        let prefix = evolve_prefix(&program);
+        let shot = |tableau: &mut Tableau, rng: &mut StdRng| {
+            tableau.clone_from(&prefix);
+            Ok(replay_suffix(tableau, &program, rng))
+        };
+        run_shot_ranges(
+            self.seed,
+            shots,
+            1,
+            program.num_clbits,
+            |_| prefix.clone(),
+            shot,
+        )
     }
 }
 

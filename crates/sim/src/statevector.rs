@@ -7,9 +7,17 @@
 //! the compiled engine is tested bit-for-bit against
 //! (`tests/compiled_identity.rs`) and benchmarked over
 //! (`qra-bench/src/bin/sim_throughput.rs`).
+//!
+//! A simulator keeps a seed, never a random stream. A terminal program
+//! samples its final distribution from one generator seeded by that seed
+//! on each call. A program with a mid-circuit measurement or reset
+//! re-simulates every shot, and shot `s` draws only from its own generator,
+//! seeded by [`derive_shot_seed`](crate::threads::derive_shot_seed)`(seed,
+//! s)`: one draw per collapse, in program order. Shot ranges then split
+//! across threads ([`run_shot_ranges`]) without changing a count.
 
 use crate::exec::{CompiledProgram, ExecOp, MAX_CLBITS, MAX_QUBITS};
-use crate::threads::resolve_threads;
+use crate::threads::{resolve_threads, run_shot_ranges};
 use crate::{Counts, SimError};
 use qra_circuit::circuit::apply_gate_inplace;
 use qra_circuit::{Circuit, Operation};
@@ -39,7 +47,7 @@ const KEY_TABLE_MAX_DIM: usize = 1 << 16;
 /// ```
 #[derive(Debug)]
 pub struct StatevectorSimulator {
-    rng: StdRng,
+    seed: u64,
     threads: usize,
 }
 
@@ -52,31 +60,26 @@ impl Default for StatevectorSimulator {
 impl StatevectorSimulator {
     /// Creates a simulator seeded from the OS entropy source.
     pub fn new() -> Self {
-        Self {
-            rng: StdRng::from_entropy(),
-            threads: 1,
-        }
+        Self::with_seed(StdRng::from_entropy().next_u64())
     }
 
     /// Creates a simulator with a fixed seed (reproducible sampling).
     pub fn with_seed(seed: u64) -> Self {
-        Self {
-            rng: StdRng::seed_from_u64(seed),
-            threads: 1,
-        }
+        Self { seed, threads: 1 }
     }
 
-    /// Sets the amplitude-level worker thread count for kernel sweeps
-    /// (`0` = one per available core). Threading only re-partitions the
-    /// amplitude loops — it touches no RNG and changes no arithmetic — so
-    /// runs are bit-for-bit identical at any thread count (the contract
+    /// Sets the worker thread count (`0` = one per available core).
+    /// Terminal runs and unitary prefixes split each kernel's amplitude
+    /// sweep; per-shot programs split their shots into contiguous ranges.
+    /// Neither touches a random draw or changes any arithmetic, so runs
+    /// are bit-for-bit identical at any thread count (the contract
     /// `tests/compiled_identity.rs` enforces).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = resolve_threads(threads).0;
         self
     }
 
-    /// The resolved amplitude-level thread count.
+    /// The resolved thread count.
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -121,7 +124,7 @@ impl StatevectorSimulator {
     ///
     /// * [`SimError::TooManyQubits`] beyond 24 qubits;
     /// * [`SimError::Circuit`] for invalid circuits.
-    pub fn run(&mut self, circuit: &Circuit, shots: u64) -> Result<Counts, SimError> {
+    pub fn run(&self, circuit: &Circuit, shots: u64) -> Result<Counts, SimError> {
         let program = CompiledProgram::compile(circuit)?;
         self.run_compiled(&program, shots)
     }
@@ -135,11 +138,7 @@ impl StatevectorSimulator {
     ///
     /// * [`SimError::InvalidProbability`] if the state degenerates (e.g. a
     ///   non-unitary custom gate).
-    pub fn run_compiled(
-        &mut self,
-        program: &CompiledProgram,
-        shots: u64,
-    ) -> Result<Counts, SimError> {
+    pub fn run_compiled(&self, program: &CompiledProgram, shots: u64) -> Result<Counts, SimError> {
         if program.is_terminal() {
             self.run_compiled_terminal(program, shots)
         } else {
@@ -149,7 +148,7 @@ impl StatevectorSimulator {
 
     /// All measurements terminal: evolve once, sample the distribution.
     fn run_compiled_terminal(
-        &mut self,
+        &self,
         program: &CompiledProgram,
         shots: u64,
     ) -> Result<Counts, SimError> {
@@ -170,6 +169,7 @@ impl StatevectorSimulator {
             cum[i] += cum[i - 1];
         }
         let total = cum[dim - 1].max(f64::MIN_POSITIVE);
+        let mut rng = StdRng::seed_from_u64(self.seed);
         let mut counts = Counts::new(program.num_clbits());
         if dim <= KEY_TABLE_MAX_DIM {
             // Precompute outcome → key once, histogram outcome indices,
@@ -178,7 +178,7 @@ impl StatevectorSimulator {
             let key_table = build_key_table(program.measures(), n, dim);
             let mut hist = vec![0u64; dim];
             for _ in 0..shots {
-                hist[sample_cumulative(&cum, total, &mut self.rng)] += 1;
+                hist[sample_cumulative(&cum, total, &mut rng)] += 1;
             }
             for (i, &h) in hist.iter().enumerate() {
                 if h > 0 {
@@ -194,7 +194,7 @@ impl StatevectorSimulator {
                 .map(|&(q, c)| (n - 1 - q, 1u64 << c))
                 .collect();
             for _ in 0..shots {
-                let outcome = sample_cumulative(&cum, total, &mut self.rng);
+                let outcome = sample_cumulative(&cum, total, &mut rng);
                 let mut key = 0u64;
                 for &(shift, bit) in &shifts {
                     if (outcome >> shift) & 1 == 1 {
@@ -208,61 +208,62 @@ impl StatevectorSimulator {
     }
 
     /// Mid-circuit measurement/reset: per-shot replay with collapse, with
-    /// the unitary prefix evolved once and cloned into each shot.
+    /// the unitary prefix evolved once (on every thread) and copied into
+    /// each shot. Shot ranges then run on the workers of
+    /// [`run_shot_ranges`].
     fn run_compiled_per_shot(
-        &mut self,
+        &self,
         program: &CompiledProgram,
         shots: u64,
     ) -> Result<Counts, SimError> {
-        let dim = program.dim();
-        let mut scratch = Vec::new();
-        // Evolve the leading unitary run once; it consumes no randomness,
-        // so caching it preserves the per-shot RNG draw order exactly.
-        let mut prefix = CVector::basis_state(dim, 0);
-        for op in &program.ops()[..program.prefix_len()] {
-            if let ExecOp::Apply(k) = op {
-                k.apply_threaded(prefix.as_mut_slice(), &mut scratch, self.threads);
-            }
-        }
+        // The prefix draws nothing, so evolving it once changes no shot's
+        // draws.
+        let prefix = self.evolve_compiled(program);
         let suffix = &program.ops()[program.prefix_len()..];
-        let mut counts = Counts::new(program.num_clbits());
-        let mut state = prefix.clone();
-        for _ in 0..shots {
+        let worker = |threads| (prefix.clone(), Vec::new(), threads);
+        let shot = |(state, scratch, threads): &mut (CVector, Vec<C64>, usize),
+                    rng: &mut StdRng| {
             state.as_mut_slice().copy_from_slice(prefix.as_slice());
             let mut key = 0u64;
             for op in suffix {
                 match op {
-                    ExecOp::Apply(k) => {
-                        k.apply_threaded(state.as_mut_slice(), &mut scratch, self.threads)
-                    }
+                    ExecOp::Apply(k) => k.apply_threaded(state.as_mut_slice(), scratch, *threads),
                     ExecOp::Measure { mask, clbit_bit } => {
-                        if collapse_mask(&mut state, *mask, &mut self.rng)? == 1 {
+                        if collapse_mask(state, *mask, rng)? == 1 {
                             key |= clbit_bit;
                         } else {
                             key &= !clbit_bit;
                         }
                     }
                     ExecOp::Reset { mask, flip } => {
-                        if collapse_mask(&mut state, *mask, &mut self.rng)? == 1 {
-                            flip.apply_threaded(state.as_mut_slice(), &mut scratch, self.threads);
+                        if collapse_mask(state, *mask, rng)? == 1 {
+                            flip.apply_threaded(state.as_mut_slice(), scratch, *threads);
                         }
                     }
                 }
             }
-            counts.record(key, 1);
-        }
-        Ok(counts)
+            Ok(key)
+        };
+        run_shot_ranges(
+            self.seed,
+            shots,
+            self.threads,
+            program.num_clbits(),
+            worker,
+            shot,
+        )
     }
 
     /// Runs the circuit through the original instruction-walking
-    /// interpreter. Kept as the reference implementation for the
-    /// compiled-vs-interpreter identity tests and throughput baselines;
-    /// same seed ⇒ same [`Counts`] as [`StatevectorSimulator::run`].
+    /// interpreter, on one thread. Kept as the reference implementation
+    /// for the compiled-vs-interpreter identity tests and throughput
+    /// baselines; it seeds each shot the same way, so the same seed gives
+    /// the same [`Counts`] as [`StatevectorSimulator::run`].
     ///
     /// # Errors
     ///
     /// As for [`StatevectorSimulator::run`].
-    pub fn run_interpreted(&mut self, circuit: &Circuit, shots: u64) -> Result<Counts, SimError> {
+    pub fn run_interpreted(&self, circuit: &Circuit, shots: u64) -> Result<Counts, SimError> {
         check_width(circuit)?;
         if measurements_are_terminal(circuit) {
             self.run_terminal(circuit, shots)
@@ -271,7 +272,7 @@ impl StatevectorSimulator {
         }
     }
 
-    fn run_terminal(&mut self, circuit: &Circuit, shots: u64) -> Result<Counts, SimError> {
+    fn run_terminal(&self, circuit: &Circuit, shots: u64) -> Result<Counts, SimError> {
         let n = circuit.num_qubits();
         let dim = 1usize << n;
         let mut state = CVector::basis_state(dim, 0);
@@ -291,9 +292,10 @@ impl StatevectorSimulator {
             }
         }
         let probs = state.probabilities();
+        let mut rng = StdRng::seed_from_u64(self.seed);
         let mut counts = Counts::new(circuit.num_clbits());
         for _ in 0..shots {
-            let outcome = sample_index(&probs, &mut self.rng);
+            let outcome = sample_index(&probs, &mut rng);
             let mut key = 0u64;
             for &(q, c) in &measures {
                 if (outcome >> (n - 1 - q)) & 1 == 1 {
@@ -305,12 +307,10 @@ impl StatevectorSimulator {
         Ok(counts)
     }
 
-    fn run_per_shot(&mut self, circuit: &Circuit, shots: u64) -> Result<Counts, SimError> {
+    fn run_per_shot(&self, circuit: &Circuit, shots: u64) -> Result<Counts, SimError> {
         let n = circuit.num_qubits();
-        let dim = 1usize << n;
-        let mut counts = Counts::new(circuit.num_clbits());
-        for _ in 0..shots {
-            let mut state = CVector::basis_state(dim, 0);
+        let shot = |_: &mut (), rng: &mut StdRng| {
+            let mut state = CVector::basis_state(1usize << n, 0);
             let mut key = 0u64;
             for inst in circuit.instructions() {
                 match &inst.operation {
@@ -321,7 +321,7 @@ impl StatevectorSimulator {
                     Operation::Measure => {
                         let q = inst.qubits[0];
                         let c = inst.clbits[0];
-                        let bit = collapse(&mut state, q, n, &mut self.rng)?;
+                        let bit = collapse(&mut state, q, n, rng)?;
                         if bit == 1 {
                             key |= 1 << c;
                         } else {
@@ -330,16 +330,16 @@ impl StatevectorSimulator {
                     }
                     Operation::Reset => {
                         let q = inst.qubits[0];
-                        let bit = collapse(&mut state, q, n, &mut self.rng)?;
+                        let bit = collapse(&mut state, q, n, rng)?;
                         if bit == 1 {
                             apply_gate_inplace(&mut state, &qra_circuit::Gate::X.matrix(), &[q], n);
                         }
                     }
                 }
             }
-            counts.record(key, 1);
-        }
-        Ok(counts)
+            Ok(key)
+        };
+        run_shot_ranges(self.seed, shots, 1, circuit.num_clbits(), |_| (), shot)
     }
 }
 

@@ -13,36 +13,25 @@
 //! follow a gate comes from the gate-noise schedule the compiled density
 //! engine uses too (`noise::GateNoise`). When no gate-level
 //! noise channel is active (each gate op carries zero noise sites), the
-//! leading unitary run is evolved once and cloned into each shot; noise
-//! sites and measurements draw RNG in the exact order of the original
-//! interpreter, so seeded runs stay bit-for-bit compatible.
+//! leading unitary run is evolved once and cloned into each shot.
 //!
-//! Two shot-execution modes exist:
-//!
-//! * [`TrajectorySimulator::run`] — the historical sequential mode: one
-//!   RNG stream threads through all shots in order. Its draw sequence (and
-//!   therefore its histogram for a given seed) is frozen; amplitude-level
-//!   threading ([`TrajectorySimulator::with_threads`]) only splits each
-//!   kernel's sweep into ranges that run the sequential sweep code, so it
-//!   is bit-for-bit identical at every thread count.
-//! * [`TrajectorySimulator::run_batched`] — shots are partitioned into
-//!   contiguous per-worker ranges and each shot runs on its own RNG seeded
-//!   from [`derive_shot_seed`]`(seed, shot)`. Because each shot's draws
-//!   depend only on `(seed, shot index)`, the histogram is identical at
-//!   every worker count — but it is a *different* (equally valid) sample
-//!   than `run` produces for the same seed. It is the workspace's only
-//!   shot-batched mode; the `trajectory` row of `BENCH_sim.json` shows it
-//!   paying on two cores.
+//! Shot `s` draws only from its own generator, seeded by
+//! [`derive_shot_seed`](crate::threads::derive_shot_seed)`(seed, s)`: one
+//! draw per Kraus choice, collapse and readout flip, in program order.
+//! [`TrajectorySimulator::run`] splits the shots into contiguous ranges
+//! over its threads ([`run_shot_ranges`]), so the histogram is identical
+//! at every thread count.
 
+use crate::exec::MAX_CLBITS;
 use crate::noise::{GateNoise, KrausChannel, NoiseModel};
 use crate::statevector::collapse_mask;
-use crate::threads::{derive_shot_seed, resolve_threads};
+use crate::threads::{resolve_threads, run_shot_ranges};
 use crate::{Counts, SimError};
 use qra_circuit::kernel::Kernel;
 use qra_circuit::{Circuit, Gate, Operation};
 use qra_math::{CVector, C64};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 /// Maximum supported width — unified with the compiled state-vector
 /// engine's ceiling ([`crate::exec::MAX_QUBITS`]): both back-ends walk a
@@ -60,7 +49,7 @@ pub use crate::exec::MAX_QUBITS;
 /// let mut bell = Circuit::new(2);
 /// bell.h(0).cx(0, 1);
 /// bell.measure_all();
-/// let mut sim = TrajectorySimulator::new(DevicePreset::melbourne_like(), 5);
+/// let sim = TrajectorySimulator::new(DevicePreset::melbourne_like(), 5);
 /// let counts = sim.run(&bell, 2048)?;
 /// // Noise leaks some probability into the odd-parity outcomes.
 /// assert!(counts.frequency("01").unwrap() + counts.frequency("10").unwrap() > 0.0);
@@ -69,26 +58,26 @@ pub use crate::exec::MAX_QUBITS;
 #[derive(Debug)]
 pub struct TrajectorySimulator {
     noise: NoiseModel,
-    /// Base seed, retained for per-shot derivation in [`Self::run_batched`].
+    /// Base seed of every shot's generator.
     seed: u64,
-    /// Sequential-mode RNG stream (advanced only by [`Self::run`]).
-    rng: StdRng,
-    /// Amplitude-level worker budget for kernel sweeps (sequential mode)
-    /// and the shot-worker budget for batched mode. `1` = sequential.
+    /// Thread budget: amplitude threads for the prefix, shot-range workers
+    /// for the shots. `1` = sequential.
     threads: usize,
-    /// Buffers owned by the (single) sequential shot worker.
-    buffers: ShotBuffers,
 }
 
-/// Scratch buffers owned by exactly one shot worker. Each concurrent shot
-/// range in [`TrajectorySimulator::run_batched`] gets its own instance, so
-/// no buffer is ever shared across concurrently running applications.
-#[derive(Debug, Default)]
+/// The state and scratch buffers of one shot worker. Each concurrent shot
+/// range gets its own instance, so no buffer is ever shared across
+/// concurrently running applications.
+#[derive(Debug)]
 struct ShotBuffers {
+    /// The shot's state, reset to the prefix before each shot.
+    state: CVector,
     /// Full-dimension buffer for trial Kraus applications.
     scratch: Vec<C64>,
     /// Sub-block buffer for kernel applications.
     kscratch: Vec<C64>,
+    /// Amplitude threads for this worker's kernel sweeps.
+    threads: usize,
 }
 
 /// One lowered instruction of the trajectory plan.
@@ -131,16 +120,14 @@ impl TrajectorySimulator {
         Self {
             noise,
             seed,
-            rng: StdRng::seed_from_u64(seed),
             threads: 1,
-            buffers: ShotBuffers::default(),
         }
     }
 
-    /// Sets the worker-thread budget: amplitude-level kernel threading in
-    /// [`Self::run`] and shot-range workers in [`Self::run_batched`].
-    /// `0` resolves to one worker per available core. Results are
-    /// bit-for-bit identical at every thread count in both modes.
+    /// Sets the worker-thread budget: amplitude threads for the noise-free
+    /// prefix, then shot-range workers for the shots. `0` resolves to one
+    /// worker per available core. Results are bit-for-bit identical at
+    /// every thread count.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = resolve_threads(threads).0;
         self
@@ -159,123 +146,43 @@ impl TrajectorySimulator {
     /// Runs `shots` independent noisy trajectories and histograms the
     /// classical outcomes.
     ///
-    /// All shots draw from one sequential RNG stream, so for a given seed
-    /// the histogram is frozen regardless of the thread budget (threads
-    /// only parallelize amplitude sweeps inside each kernel).
+    /// Shot `s` draws from its own generator, seeded from `(seed, s)`, and
+    /// the shots split into contiguous ranges over the thread budget, so
+    /// the histogram for a given seed is the same at every thread count.
     ///
     /// # Errors
     ///
     /// * [`SimError::TooManyQubits`] beyond [`MAX_QUBITS`];
+    /// * [`SimError::TooManyClbits`] beyond [`MAX_CLBITS`];
     /// * [`SimError::InvalidNoiseParameter`] for a bad model;
     /// * [`SimError::Circuit`] for invalid circuits.
-    pub fn run(&mut self, circuit: &Circuit, shots: u64) -> Result<Counts, SimError> {
+    pub fn run(&self, circuit: &Circuit, shots: u64) -> Result<Counts, SimError> {
         let plan = self.lower(circuit)?;
-        let mut counts = Counts::new(plan.num_clbits);
-        let mut state = plan.prefix.clone();
-        for _ in 0..shots {
-            state.as_mut_slice().copy_from_slice(plan.prefix.as_slice());
-            let key = run_shot(
-                &plan.suffix,
-                &mut state,
-                &self.noise,
-                &mut self.rng,
-                &mut self.buffers,
-                self.threads,
-            )?;
-            counts.record(key, 1);
-        }
-        Ok(counts)
-    }
-
-    /// Runs `shots` independent trajectories with per-shot RNGs derived
-    /// from `(seed, shot index)` via [`derive_shot_seed`], partitioning
-    /// the shot range across up to [`Self::threads`] scoped workers.
-    ///
-    /// Because each shot's randomness depends only on its own derived
-    /// seed, the resulting histogram is identical at every worker count
-    /// and independent of how the range is partitioned — but it is a
-    /// different (equally valid) sample than [`Self::run`] draws from its
-    /// sequential stream. This method does not consume the sequential
-    /// stream: interleaving `run` and `run_batched` calls leaves each
-    /// mode's results unchanged.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Self::run`].
-    pub fn run_batched(&mut self, circuit: &Circuit, shots: u64) -> Result<Counts, SimError> {
-        let plan = self.lower(circuit)?;
-        let workers = self.threads.clamp(1, shots.max(1) as usize);
-        if workers == 1 {
-            let mut counts = Counts::new(plan.num_clbits);
-            let mut state = plan.prefix.clone();
-            for shot in 0..shots {
-                state.as_mut_slice().copy_from_slice(plan.prefix.as_slice());
-                let mut rng = StdRng::seed_from_u64(derive_shot_seed(self.seed, shot));
-                let key = run_shot(
-                    &plan.suffix,
-                    &mut state,
-                    &self.noise,
-                    &mut rng,
-                    &mut self.buffers,
-                    1,
-                )?;
-                counts.record(key, 1);
-            }
-            return Ok(counts);
-        }
-        // Contiguous per-worker shot ranges; each worker owns its state
-        // and scratch buffers, each shot its own derived RNG. Workers use
-        // sequential kernel sweeps — parallelism comes from the shot
-        // dimension, not nested amplitude threading.
-        let chunk = shots.div_ceil(workers as u64);
-        let seed = self.seed;
-        let noise = &self.noise;
-        let plan_ref = &plan;
-        let results: Vec<Result<Counts, SimError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers as u64)
-                .map(|w| {
-                    let lo = w * chunk;
-                    let hi = ((w + 1) * chunk).min(shots);
-                    scope.spawn(move || {
-                        let mut counts = Counts::new(plan_ref.num_clbits);
-                        let mut buffers = ShotBuffers::default();
-                        let mut state = plan_ref.prefix.clone();
-                        for shot in lo..hi {
-                            state
-                                .as_mut_slice()
-                                .copy_from_slice(plan_ref.prefix.as_slice());
-                            let mut rng = StdRng::seed_from_u64(derive_shot_seed(seed, shot));
-                            let key = run_shot(
-                                &plan_ref.suffix,
-                                &mut state,
-                                noise,
-                                &mut rng,
-                                &mut buffers,
-                                1,
-                            )?;
-                            counts.record(key, 1);
-                        }
-                        Ok(counts)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("trajectory shot worker panicked"))
-                .collect()
-        });
-        let mut counts = Counts::new(plan.num_clbits);
-        for worker_counts in results {
-            for (key, n) in worker_counts?.iter() {
-                counts.record(key, n);
-            }
-        }
-        Ok(counts)
+        let worker = |threads| ShotBuffers {
+            state: plan.prefix.clone(),
+            scratch: Vec::new(),
+            kscratch: Vec::new(),
+            threads,
+        };
+        let shot = |buf: &mut ShotBuffers, rng: &mut StdRng| {
+            buf.state
+                .as_mut_slice()
+                .copy_from_slice(plan.prefix.as_slice());
+            run_shot(&plan.suffix, &self.noise, rng, buf)
+        };
+        run_shot_ranges(
+            self.seed,
+            shots,
+            self.threads,
+            plan.num_clbits,
+            worker,
+            shot,
+        )
     }
 
     /// Validates the model and width, then lowers the circuit into a
     /// replayable plan with its noise-free prefix already evolved.
-    fn lower(&mut self, circuit: &Circuit) -> Result<TrajPlan, SimError> {
+    fn lower(&self, circuit: &Circuit) -> Result<TrajPlan, SimError> {
         self.noise.validate()?;
         let n = circuit.num_qubits();
         if n > MAX_QUBITS {
@@ -284,10 +191,10 @@ impl TrajectorySimulator {
                 max: MAX_QUBITS,
             });
         }
-        if circuit.num_clbits() > 64 {
+        if circuit.num_clbits() > MAX_CLBITS {
             return Err(SimError::TooManyClbits {
                 num_clbits: circuit.num_clbits(),
-                max: 64,
+                max: MAX_CLBITS,
             });
         }
         let gate_noise = GateNoise::lower(&self.noise, |channel| PreparedChannel {
@@ -339,15 +246,11 @@ impl TrajectorySimulator {
             .position(|op| !matches!(op, TrajOp::Gate { kernel: _, noise } if noise.is_empty()))
             .unwrap_or(plan.len());
 
-        let dim = 1usize << n;
-        let mut prefix = CVector::basis_state(dim, 0);
+        let mut prefix = CVector::basis_state(1usize << n, 0);
+        let mut scratch = Vec::new();
         for op in &plan[..prefix_len] {
             if let TrajOp::Gate { kernel, .. } = op {
-                kernel.apply_threaded(
-                    prefix.as_mut_slice(),
-                    &mut self.buffers.kscratch,
-                    self.threads,
-                );
+                kernel.apply_threaded(prefix.as_mut_slice(), &mut scratch, self.threads);
             }
         }
         let suffix = plan.split_off(prefix_len);
@@ -359,16 +262,14 @@ impl TrajectorySimulator {
     }
 }
 
-/// Replays the plan suffix for one shot on `state` (already reset to the
-/// prefix), drawing from `rng` and using only `buf`'s scratch space.
+/// Replays the plan suffix for one shot on `buf.state` (already reset to
+/// the prefix), drawing from `rng` and using only `buf`'s scratch space.
 /// Returns the classical outcome key.
 fn run_shot(
     suffix: &[TrajOp],
-    state: &mut CVector,
     noise: &NoiseModel,
     rng: &mut StdRng,
     buf: &mut ShotBuffers,
-    threads: usize,
 ) -> Result<u64, SimError> {
     let mut key = 0u64;
     for op in suffix {
@@ -377,13 +278,13 @@ fn run_shot(
                 kernel,
                 noise: sites,
             } => {
-                kernel.apply_threaded(state.as_mut_slice(), &mut buf.kscratch, threads);
+                kernel.apply_threaded(buf.state.as_mut_slice(), &mut buf.kscratch, buf.threads);
                 for site in sites {
-                    apply_site(state, site, rng, buf, threads)?;
+                    apply_site(site, rng, buf)?;
                 }
             }
             TrajOp::Measure { mask, clbit_bit } => {
-                let mut bit = collapse_mask(state, *mask, rng)?;
+                let mut bit = collapse_mask(&mut buf.state, *mask, rng)?;
                 // Readout confusion.
                 let flip = if bit == 1 {
                     noise.readout_p10
@@ -400,8 +301,8 @@ fn run_shot(
                 }
             }
             TrajOp::Reset { mask, flip } => {
-                if collapse_mask(state, *mask, rng)? == 1 {
-                    flip.apply_threaded(state.as_mut_slice(), &mut buf.kscratch, threads);
+                if collapse_mask(&mut buf.state, *mask, rng)? == 1 {
+                    flip.apply_threaded(buf.state.as_mut_slice(), &mut buf.kscratch, buf.threads);
                 }
             }
         }
@@ -409,19 +310,14 @@ fn run_shot(
     Ok(key)
 }
 
-/// Samples one Kraus branch of a noise site and applies it
-/// (renormalised).
+/// Samples one Kraus branch of a noise site and applies it to
+/// `buf.state` (renormalised).
 ///
 /// Scaled-unitary channels (depolarizing) use state-independent
 /// weights: one draw, one in-place application, no clones. Damping
 /// channels fall back to trial applications on a reusable buffer.
-fn apply_site(
-    state: &mut CVector,
-    site: &NoiseSite,
-    rng: &mut StdRng,
-    buf: &mut ShotBuffers,
-    threads: usize,
-) -> Result<(), SimError> {
+fn apply_site(site: &NoiseSite, rng: &mut StdRng, buf: &mut ShotBuffers) -> Result<(), SimError> {
+    let state = &mut buf.state;
     if let Some(weights) = &site.weights {
         let mut r = rng.gen_range(0.0..1.0);
         let mut chosen = site.kernels.len() - 1;
@@ -432,7 +328,7 @@ fn apply_site(
             }
             r -= w;
         }
-        site.kernels[chosen].apply_threaded(state.as_mut_slice(), &mut buf.kscratch, threads);
+        site.kernels[chosen].apply_threaded(state.as_mut_slice(), &mut buf.kscratch, buf.threads);
         // Undo the √w scaling to keep unit norm.
         let w = weights[chosen];
         if (w - 1.0).abs() > 1e-15 {
@@ -453,7 +349,7 @@ fn apply_site(
     for (i, k) in site.kernels.iter().enumerate() {
         buf.scratch.copy_from_slice(state.as_slice());
         let mut candidate = CVector::new(std::mem::take(&mut buf.scratch));
-        k.apply_threaded(candidate.as_mut_slice(), &mut buf.kscratch, threads);
+        k.apply_threaded(candidate.as_mut_slice(), &mut buf.kscratch, buf.threads);
         let norm = candidate.norm();
         let p = norm * norm;
         if r < p || i == site.kernels.len() - 1 {
@@ -501,7 +397,7 @@ mod tests {
 
     #[test]
     fn noiseless_trajectories_match_ideal() {
-        let mut sim = TrajectorySimulator::new(NoiseModel::ideal(), 3);
+        let sim = TrajectorySimulator::new(NoiseModel::ideal(), 3);
         let counts = sim.run(&ghz_measured(), 4096).unwrap();
         let p = counts.frequency("000").unwrap() + counts.frequency("111").unwrap();
         assert!((p - 1.0).abs() < 1e-9, "ideal trajectories must be exact");
@@ -517,7 +413,7 @@ mod tests {
             .outcome_distribution(&circuit)
             .unwrap();
         let shots = 20_000u64;
-        let mut sim = TrajectorySimulator::new(noise, 7);
+        let sim = TrajectorySimulator::new(noise, 7);
         let counts = sim.run(&circuit, shots).unwrap();
         let mut tv = 0.0;
         for (key, p_exact) in &exact {
@@ -529,34 +425,13 @@ mod tests {
     }
 
     #[test]
-    fn batched_matches_density_distribution() {
-        // The batched sampler draws a different (per-shot-seeded) sample,
-        // but it must converge to the same exact distribution.
-        let circuit = ghz_measured();
-        let noise = DevicePreset::melbourne_like();
-        let exact = DensityMatrixSimulator::with_noise(noise.clone())
-            .outcome_distribution(&circuit)
-            .unwrap();
-        let shots = 20_000u64;
-        let mut sim = TrajectorySimulator::new(noise, 7);
-        let counts = sim.run_batched(&circuit, shots).unwrap();
-        let mut tv = 0.0;
-        for (key, p_exact) in &exact {
-            let p_meas = counts.count(*key) as f64 / shots as f64;
-            tv += (p_exact - p_meas).abs();
-        }
-        tv /= 2.0;
-        assert!(tv < 0.02, "batched/density TV distance too large: {tv}");
-    }
-
-    #[test]
     fn readout_error_applies() {
         let mut noise = NoiseModel::ideal();
         noise.readout_p10 = 0.3;
         let mut c = Circuit::new(1);
         c.x(0);
         c.measure_all();
-        let mut sim = TrajectorySimulator::new(noise, 11);
+        let sim = TrajectorySimulator::new(noise, 11);
         let counts = sim.run(&c, 8192).unwrap();
         let p0 = counts.frequency("0").unwrap();
         assert!((p0 - 0.3).abs() < 0.03, "p0 = {p0}");
@@ -572,7 +447,7 @@ mod tests {
             c.rz(0.0, 0);
         }
         c.measure_all();
-        let mut sim = TrajectorySimulator::new(noise, 13);
+        let sim = TrajectorySimulator::new(noise, 13);
         let counts = sim.run(&c, 4096).unwrap();
         assert!(
             counts.frequency("1").unwrap() < 0.3,
@@ -594,54 +469,12 @@ mod tests {
     }
 
     #[test]
-    fn sequential_run_is_thread_invariant() {
-        // Amplitude-level threading must not change the draw sequence:
-        // the histogram is frozen per seed at every thread count.
-        let noise = DevicePreset::melbourne_like();
-        let base = TrajectorySimulator::new(noise.clone(), 5)
-            .run(&ghz_measured(), 512)
-            .unwrap();
-        for threads in [2usize, 4] {
-            let counts = TrajectorySimulator::new(noise.clone(), 5)
-                .with_threads(threads)
-                .run(&ghz_measured(), 512)
-                .unwrap();
-            assert_eq!(base, counts, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn batched_runs_are_worker_invariant() {
-        // Per-shot seed derivation makes the batched histogram identical
-        // at every worker count and partitioning.
-        let noise = DevicePreset::melbourne_like();
-        let base = TrajectorySimulator::new(noise.clone(), 5)
-            .run_batched(&ghz_measured(), 513)
-            .unwrap();
-        for threads in [2usize, 3, 4, 16] {
-            let counts = TrajectorySimulator::new(noise.clone(), 5)
-                .with_threads(threads)
-                .run_batched(&ghz_measured(), 513)
-                .unwrap();
-            assert_eq!(base, counts, "workers = {threads}");
-        }
-        assert_eq!(base.total(), 513);
-    }
-
-    #[test]
-    fn batched_does_not_consume_sequential_stream() {
-        // Interleaving run_batched must leave the sequential stream
-        // untouched: run → run_batched → run must equal run → run.
-        let noise = DevicePreset::melbourne_like();
-        let mut interleaved = TrajectorySimulator::new(noise.clone(), 5);
-        let a1 = interleaved.run(&ghz_measured(), 128).unwrap();
-        let _ = interleaved.run_batched(&ghz_measured(), 128).unwrap();
-        let a2 = interleaved.run(&ghz_measured(), 128).unwrap();
-        let mut plain = TrajectorySimulator::new(noise, 5);
-        let b1 = plain.run(&ghz_measured(), 128).unwrap();
-        let b2 = plain.run(&ghz_measured(), 128).unwrap();
-        assert_eq!(a1, b1);
-        assert_eq!(a2, b2);
+    fn repeated_runs_draw_the_same_shots() {
+        // The simulator keeps a seed, not a stream: a second run on the
+        // same simulator repeats the first.
+        let sim = TrajectorySimulator::new(DevicePreset::melbourne_like(), 5);
+        let first = sim.run(&ghz_measured(), 128).unwrap();
+        assert_eq!(first, sim.run(&ghz_measured(), 128).unwrap());
     }
 
     #[test]
@@ -660,6 +493,15 @@ mod tests {
             }
             other => panic!("expected TooManyQubits, got {other:?}"),
         }
+        // The clbit ceiling is the state-vector engine's too.
+        let keys = Circuit::with_clbits(1, MAX_CLBITS + 1);
+        match TrajectorySimulator::new(NoiseModel::ideal(), 1).run(&keys, 1) {
+            Err(SimError::TooManyClbits { num_clbits, max }) => {
+                assert_eq!(num_clbits, MAX_CLBITS + 1);
+                assert_eq!(max, MAX_CLBITS);
+            }
+            other => panic!("expected TooManyClbits, got {other:?}"),
+        }
     }
 
     #[test]
@@ -667,7 +509,7 @@ mod tests {
         // 21 qubits was rejected before the ceilings were unified; it must
         // lower cleanly now (validated at lowering time, before any state
         // allocation happens per-shot).
-        let mut sim = TrajectorySimulator::new(NoiseModel::ideal(), 1);
+        let sim = TrajectorySimulator::new(NoiseModel::ideal(), 1);
         let c = Circuit::new(21);
         assert!(sim.lower(&c).is_ok());
     }
@@ -681,7 +523,7 @@ mod tests {
             c.cx(q, q + 1);
         }
         c.measure_all();
-        let mut sim = TrajectorySimulator::new(DevicePreset::LowNoise.noise_model(), 9);
+        let sim = TrajectorySimulator::new(DevicePreset::LowNoise.noise_model(), 9);
         let counts = sim.run(&c, 64).unwrap();
         assert_eq!(counts.total(), 64);
     }
