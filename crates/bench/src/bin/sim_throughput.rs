@@ -82,7 +82,9 @@ struct DensityWorkload {
 /// ([`DensityMatrixSimulator::run_interpreted`]) against the compiled
 /// kernel-conjugation engine, with the same bit-for-bit identity contract
 /// as the state-vector pairs. The melbourne GHZ entry is the §IX-B
-/// device-regime workload the compiled engine was built for.
+/// device-regime workload the compiled engine was built for; the SWAP
+/// entry is the shape of a noisy campaign's SWAP cells, whose ancillas no
+/// gate touches until the assertion begins.
 fn density_workloads(short: bool) -> Vec<DensityWorkload> {
     let s = |full: u64, smoke: u64| if short { smoke } else { full };
     vec![
@@ -107,7 +109,25 @@ fn density_workloads(short: bool) -> Vec<DensityWorkload> {
             shots: s(4096, 64),
             seed: 13,
         },
+        DensityWorkload {
+            name: "density_ghz3_swap_assert_low",
+            circuit: ghz_swap_asserted(3),
+            noise: DevicePreset::LowNoise.noise_model(),
+            shots: s(4096, 64),
+            seed: 17,
+        },
     ]
+}
+
+/// GHZ-`n` with a SWAP assertion of the whole state: `n` ancillas, each
+/// first touched by the assertion, then measured. Six qubits at `n = 3`;
+/// wider rows make the row's dense walker slow.
+fn ghz_swap_asserted(n: usize) -> Circuit {
+    let mut c = states::ghz(n);
+    let qubits: Vec<usize> = (0..n).collect();
+    let spec = StateSpec::pure(states::ghz_vector(n)).expect("ghz spec");
+    insert_assertion(&mut c, &qubits, &spec, Design::Swap).expect("assertion synthesis");
+    c
 }
 
 struct Workload {

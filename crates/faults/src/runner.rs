@@ -456,7 +456,7 @@ pub fn default_executor(
             DensityMatrixSimulator::with_noise(config.noise.clone()).with_threads(sim_threads);
         let compiled = match &config.cache {
             Some(cache) => cache
-                .compile_density(circuit, &config.noise)
+                .compile_density(circuit, &config.noise, sim_threads)
                 .map(Some)
                 .or_else(|e| match e {
                     SimError::TooManyQubits { .. } => Ok(None),

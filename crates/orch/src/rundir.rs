@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! <dir>/manifest.json      what to run (written once, temp+rename)
-//! <dir>/claims/u<ID>       unit leases (O_EXCL create; pid + heartbeat mtime)
+//! <dir>/claims/u<ID>       unit leases (exclusive create; pid + heartbeat mtime)
 //! <dir>/attempts/u<ID>.<N> one marker per failed attempt (content = reason)
 //! <dir>/results/w<PID>.jsonl  one append-only record stream per worker
 //! <dir>/progress.json      latest progress snapshot (temp+rename)
@@ -320,9 +320,9 @@ impl RunDir {
     }
 
     /// Tries to claim `unit` for execution, acquiring its lease (pid +
-    /// heartbeat mtime). Exactly one caller per run epoch wins (`O_EXCL`
-    /// create); the lease persists until the monitor reclaims the unit or
-    /// the claims are cleared by the next resume.
+    /// heartbeat mtime). Exactly one caller per run epoch wins (an
+    /// exclusive create); the lease persists until the monitor reclaims
+    /// the unit or the claims are cleared by the next resume.
     pub fn claim(&self, unit: usize) -> bool {
         lease::acquire(&self.claim_path(unit))
     }

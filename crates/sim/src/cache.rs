@@ -262,7 +262,9 @@ impl ProgramCache {
     }
 
     /// Returns the cached density program for `(circuit, noise)`,
-    /// compiling and inserting on a miss.
+    /// compiling and inserting on a miss, its prefix evolved over
+    /// `threads` workers. The key leaves `threads` out: the compiled
+    /// program is bit-identical at every thread count.
     ///
     /// # Errors
     ///
@@ -272,12 +274,13 @@ impl ProgramCache {
         &self,
         circuit: &Circuit,
         noise: &NoiseModel,
+        threads: usize,
     ) -> Result<Arc<CompiledDensityProgram>, SimError> {
         let mut key = vec![1u8];
         key.extend(encode_circuit(circuit));
         key.extend_from_slice(&encode_noise(noise));
         let program = self.get_or_compile(key, || {
-            let program = CompiledDensityProgram::compile(circuit, noise)?;
+            let program = CompiledDensityProgram::compile(circuit, noise, threads)?;
             let bytes = program.retained_bytes();
             Ok((Program::Density(Arc::new(program)), bytes))
         })?;
@@ -379,9 +382,9 @@ mod tests {
             depol_1q: 0.01,
             ..NoiseModel::ideal()
         };
-        cache.compile_density(&circuit, &ideal).unwrap();
-        cache.compile_density(&circuit, &noisy).unwrap();
-        cache.compile_density(&circuit, &ideal).unwrap();
+        cache.compile_density(&circuit, &ideal, 1).unwrap();
+        cache.compile_density(&circuit, &noisy, 1).unwrap();
+        cache.compile_density(&circuit, &ideal, 1).unwrap();
         assert_eq!(cache.misses(), 2);
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.entries(), 2);
@@ -398,7 +401,7 @@ mod tests {
         };
         let sim = DensityMatrixSimulator::with_noise(noise.clone());
         let fresh = sim.run(&circuit, 4096, 11).unwrap();
-        let program = cache.compile_density(&circuit, &noise).unwrap();
+        let program = cache.compile_density(&circuit, &noise, 1).unwrap();
         let cached = sim.run_compiled(&program, 4096, 11).unwrap();
         assert_eq!(fresh, cached);
         assert_eq!(cache.misses(), 1);
@@ -419,7 +422,7 @@ mod tests {
             ..NoiseModel::ideal()
         };
         let probe = ProgramCache::new();
-        probe.compile_density(&ghz5_variant(0), &noise).unwrap();
+        probe.compile_density(&ghz5_variant(0), &noise, 1).unwrap();
         let charge = probe.bytes();
         // The 16·4⁵-byte prefix vec(ρ) dominates the charge.
         assert!(
@@ -428,7 +431,7 @@ mod tests {
         );
 
         let cache = ProgramCache::with_capacity(3 * charge);
-        let compile = |i| cache.compile_density(&ghz5_variant(i), &noise).unwrap();
+        let compile = |i| cache.compile_density(&ghz5_variant(i), &noise, 1).unwrap();
         let first: Vec<_> = (0..3).map(compile).collect();
         assert_eq!(
             (cache.entries(), cache.bytes(), cache.evictions()),
@@ -467,7 +470,7 @@ mod tests {
     fn program_larger_than_the_cap_is_returned_uncached() {
         let cache = ProgramCache::with_capacity(1024);
         let program = cache
-            .compile_density(&ghz(3), &NoiseModel::ideal())
+            .compile_density(&ghz(3), &NoiseModel::ideal(), 1)
             .unwrap();
         assert_eq!(program.num_qubits(), 3);
         assert_eq!((cache.entries(), cache.bytes(), cache.misses()), (0, 0, 1));

@@ -29,7 +29,9 @@
 //! historically disagreed at `1e-14` vs `1e-15`) therefore never changes a
 //! reachable distribution.
 
-use crate::exec_density::{apply_channel, CompiledDensityProgram, DensityOp};
+use crate::exec_density::{
+    apply_channel, CompiledDensityProgram, DensityOp, DENSITY_PARALLEL_QUBITS,
+};
 use crate::noise::{KrausChannel, NoiseModel};
 use crate::statevector::sample_cumulative;
 use crate::threads::resolve_threads;
@@ -40,6 +42,7 @@ use qra_circuit::{Circuit, Operation};
 use qra_math::{CMatrix, CVector, C64};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// Branches with outcome probability (unnormalised trace) at or below this
@@ -56,11 +59,18 @@ struct Branch {
     key: u64,
 }
 
+/// The compiled branch walk's measurement coalesce: each outcome key's
+/// compact `vec(ρ)` and its support.
+type CoalesceMap = BTreeMap<u64, (Vec<C64>, Support)>;
+
 /// One classical branch of the compiled simulation: the `vec(ρ)` entries
-/// inside `support`, stored compactly in ascending index order.
+/// inside `support`, stored compactly in ascending index order. The first
+/// branch borrows the program's prefix and is copied only if an op writes
+/// it in place; a measure or reset, which always ends the prefix, builds
+/// fresh vectors from it instead.
 #[derive(Debug, Clone)]
-struct VecBranch {
-    rho: Vec<C64>,
+struct VecBranch<'a> {
+    rho: Cow<'a, [C64]>,
     key: u64,
     support: Support,
 }
@@ -246,9 +256,13 @@ impl DensityMatrixSimulator {
     }
 
     /// Sets the amplitude-level worker thread count for the compiled
-    /// branch walk (`0` = one per available core). Threading re-partitions
-    /// kernel sweeps whose per-amplitude arithmetic is unchanged, so every
-    /// result is bit-for-bit identical at any thread count.
+    /// branch walk and for the prefix evolution in
+    /// [`DensityMatrixSimulator::compile`] (`0` = one per available core).
+    /// Threading re-partitions kernel sweeps and channel passes whose
+    /// per-entry arithmetic is unchanged, and coalesces a measurement's
+    /// branches on several threads only when no two of them feed one
+    /// outcome key, so every result is bit-for-bit identical at any thread
+    /// count.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = resolve_threads(threads).0;
         self
@@ -264,7 +278,8 @@ impl DensityMatrixSimulator {
         &self.noise
     }
 
-    /// Lowers `circuit` with this simulator's noise model; callers
+    /// Lowers `circuit` with this simulator's noise model, evolving the
+    /// measurement-free prefix on this simulator's threads; callers
     /// amortizing one circuit over many runs (e.g. a campaign cell)
     /// compile once and use [`DensityMatrixSimulator::run_compiled`].
     ///
@@ -274,7 +289,7 @@ impl DensityMatrixSimulator {
     ///   [`crate::exec_density::MAX_QUBITS`];
     /// * [`SimError::InvalidNoiseParameter`] for a bad noise model.
     pub fn compile(&self, circuit: &Circuit) -> Result<CompiledDensityProgram, SimError> {
-        CompiledDensityProgram::compile(circuit, &self.noise)
+        CompiledDensityProgram::compile(circuit, &self.noise, self.threads)
     }
 
     /// Evolves `|0…0⟩⟨0…0|` through the circuit and returns the final
@@ -579,14 +594,14 @@ impl DensityMatrixSimulator {
 /// support-compact (see [`Support`]): projections are sequential splits,
 /// coalesce merges are ordered interleave walks, and per-branch cost
 /// shrinks geometrically with each measurement instead of staying `O(4ⁿ)`.
-fn run_vec_branches(program: &CompiledDensityProgram, threads: usize) -> Vec<VecBranch> {
+fn run_vec_branches(program: &CompiledDensityProgram, threads: usize) -> Vec<VecBranch<'_>> {
     let d = program.dim();
     let dd = d * d;
     let n = d.trailing_zeros() as usize;
     let p01 = program.readout_p01();
     let p10 = program.readout_p10();
     let mut branches = vec![VecBranch {
-        rho: program.prefix().to_vec(),
+        rho: Cow::Borrowed(program.prefix()),
         key: 0,
         support: Support::full(),
     }];
@@ -604,13 +619,13 @@ fn run_vec_branches(program: &CompiledDensityProgram, threads: usize) -> Vec<Vec
             DensityOp::Conjugate { pair, touched } => {
                 for b in &mut branches {
                     if b.support == Support::full() {
-                        pair.apply_threaded(&mut b.rho, &mut scratch, threads);
+                        pair.apply_threaded(b.rho.to_mut(), &mut scratch, threads);
                     } else {
                         let stage = stage.get_or_insert_with(|| vec![C64::zero(); dd]);
                         expand(&b.rho, b.support, n, stage);
                         pair.apply_threaded(stage, &mut scratch, threads);
                         let support = b.support.cleared(*touched);
-                        b.rho = compress_and_zero(stage, support, n);
+                        b.rho = compress_and_zero(stage, support, n).into();
                         b.support = support;
                     }
                 }
@@ -618,13 +633,13 @@ fn run_vec_branches(program: &CompiledDensityProgram, threads: usize) -> Vec<Vec
             DensityOp::Channel { site, touched } => {
                 for b in &mut branches {
                     if b.support == Support::full() {
-                        apply_channel(&mut b.rho, site, &mut acc, threads);
+                        apply_channel(b.rho.to_mut(), site, &mut acc, threads);
                     } else {
                         let stage = stage.get_or_insert_with(|| vec![C64::zero(); dd]);
                         expand(&b.rho, b.support, n, stage);
                         apply_channel(stage, site, &mut acc, threads);
                         let support = b.support.cleared(*touched);
-                        b.rho = compress_and_zero(stage, support, n);
+                        b.rho = compress_and_zero(stage, support, n).into();
                         b.support = support;
                     }
                 }
@@ -637,24 +652,69 @@ fn run_vec_branches(program: &CompiledDensityProgram, threads: usize) -> Vec<Vec
                 // Streaming coalesce: branches are pushed in the same
                 // global order the interpreter builds its pre-coalesce
                 // list, so per-key accumulation order is identical.
-                let mut map: BTreeMap<u64, (Vec<C64>, Support)> = BTreeMap::new();
                 let both = row_mask | col_mask;
-                for b in std::mem::take(&mut branches) {
+                let measure = |map: &mut CoalesceMap, b: VecBranch| {
                     let (rho0, rho1) = project_compact(&b.rho, b.support, both, n);
+                    // Free the branch before its pieces are scaled and
+                    // merged: it is as large as both merged outputs.
+                    drop(b.rho);
                     if b.support.admits(both, false) {
                         let s0 = b.support.pinned(both, false);
-                        push_scaled(&mut map, &rho0, s0, 1.0 - p01, b.key & !clbit_bit, n);
-                        push_scaled(&mut map, &rho0, s0, p01, b.key | clbit_bit, n);
+                        push_scaled(map, &rho0, s0, 1.0 - p01, b.key & !clbit_bit, n);
+                        push_scaled(map, &rho0, s0, p01, b.key | clbit_bit, n);
                     }
                     if b.support.admits(both, true) {
                         let s1 = b.support.pinned(both, true);
-                        push_scaled(&mut map, &rho1, s1, 1.0 - p10, b.key | clbit_bit, n);
-                        push_scaled(&mut map, &rho1, s1, p10, b.key & !clbit_bit, n);
+                        push_scaled(map, &rho1, s1, 1.0 - p10, b.key | clbit_bit, n);
+                        push_scaled(map, &rho1, s1, p10, b.key & !clbit_bit, n);
+                    }
+                };
+                let pending = std::mem::take(&mut branches);
+                let workers = threads.min(pending.len());
+                let mut map = CoalesceMap::new();
+                // While no branch has written the clbit, each branch feeds
+                // two keys of its own, so workers coalescing contiguous
+                // runs of branches hold disjoint keys and merging their
+                // maps changes no sum.
+                if workers > 1
+                    && n >= DENSITY_PARALLEL_QUBITS
+                    && pending.iter().all(|b| b.key & clbit_bit == 0)
+                {
+                    let per = pending.len().div_ceil(workers);
+                    let mut rest = pending.into_iter();
+                    let runs: Vec<Vec<VecBranch>> = (0..workers)
+                        .map(|_| rest.by_ref().take(per).collect())
+                        .collect();
+                    let measure = &measure;
+                    std::thread::scope(|s| {
+                        let workers: Vec<_> = runs
+                            .into_iter()
+                            .map(|run| {
+                                s.spawn(move || {
+                                    let mut local = CoalesceMap::new();
+                                    for b in run {
+                                        measure(&mut local, b);
+                                    }
+                                    local
+                                })
+                            })
+                            .collect();
+                        for worker in workers {
+                            map.extend(worker.join().expect("a measurement worker panicked"));
+                        }
+                    });
+                } else {
+                    for b in pending {
+                        measure(&mut map, b);
                     }
                 }
                 branches = map
                     .into_iter()
-                    .map(|(key, (rho, support))| VecBranch { rho, key, support })
+                    .map(|(key, (rho, support))| VecBranch {
+                        rho: rho.into(),
+                        key,
+                        support,
+                    })
                     .collect();
             }
             DensityOp::Reset {
@@ -671,7 +731,7 @@ fn run_vec_branches(program: &CompiledDensityProgram, threads: usize) -> Vec<Vec
                     if !b.support.admits(both, true) {
                         // The |1⟩ projection is empty; the fold with its
                         // exact zeros is the identity on `rho0`.
-                        b.rho = rho0;
+                        b.rho = rho0.into();
                         b.support = s0;
                         continue;
                     }
@@ -695,7 +755,7 @@ fn run_vec_branches(program: &CompiledDensityProgram, threads: usize) -> Vec<Vec
                             stage[i] = C64::zero();
                         });
                     }
-                    b.rho = folded;
+                    b.rho = folded.into();
                     b.support = s0;
                 }
             }
@@ -771,14 +831,7 @@ fn project_compact(rho: &[C64], support: Support, both: usize, n: usize) -> (Vec
 /// over their pattern union via one ordered interleave walk; an index only
 /// one side populates keeps/takes that side's value exactly (the other
 /// side's contribution is an exact zero there).
-fn push_scaled(
-    map: &mut BTreeMap<u64, (Vec<C64>, Support)>,
-    rho: &[C64],
-    support: Support,
-    p: f64,
-    key: u64,
-    n: usize,
-) {
+fn push_scaled(map: &mut CoalesceMap, rho: &[C64], support: Support, p: f64, key: u64, n: usize) {
     if p == 0.0 {
         // The scaled trace would be exactly ±0 — below the threshold.
         return;

@@ -23,7 +23,13 @@
 //! * the leading measurement-free run (gates *and* their noise channels —
 //!   density evolution is deterministic, so the whole run is cacheable) is
 //!   evolved eagerly at compile time and stored, the density analogue of
-//!   [`crate::exec::CompiledProgram`]'s unitary prefix cache.
+//!   [`crate::exec::CompiledProgram`]'s unitary prefix cache. It evolves
+//!   over the *live register*, the qubits some gate has touched so far: a
+//!   qubit enters as a zero row/column bit pair when a gate first touches
+//!   it, and the never-touched qubits enter last, so the stored prefix is
+//!   the full `vec(ρ)`. An untouched qubit is still a `|0⟩⟨0|` factor, so
+//!   every entry with its row or column bit set is zero, and skipping them
+//!   is exact (see below).
 //!
 //! Lowering consumes no randomness and kernel arithmetic matches the dense
 //! walker up to the sign of zero, so compiled runs are bit-for-bit
@@ -54,6 +60,19 @@
 //! mirroring (computing the upper triangle and conjugating) are
 //! deliberately not used: both change the arithmetic, and with it every
 //! fixed-seed noisy report.
+//!
+//! # Why the live register is exact
+//!
+//! Channels follow gates only (`GateNoise::after_gate` places them on the
+//! gate's own qubits), and a measure or reset ends the prefix, so before
+//! a gate first touches a qubit nothing has acted on it. Every full-width
+//! entry with that qubit's row or column bit set is then a zero, and so
+//! is its image under every later gate and channel that leaves the qubit
+//! alone. A live entry is the full-width entry with the untouched qubits'
+//! bits clear, and each kernel or monomial pass lowered on the live
+//! register combines the same operands in the same order as at full
+//! width. The prefix therefore matches the full-width evolution up to the
+//! sign of zero.
 
 use crate::noise::{GateNoise, NoiseModel};
 use crate::SimError;
@@ -128,7 +147,7 @@ pub(crate) enum DensityOp {
 /// bell.h(0).cx(0, 1);
 /// bell.measure_all();
 /// let noise = DevicePreset::melbourne_like();
-/// let program = CompiledDensityProgram::compile(&bell, &noise)?;
+/// let program = CompiledDensityProgram::compile(&bell, &noise, 1)?;
 /// let sim = DensityMatrixSimulator::with_noise(noise);
 /// let counts = sim.run_compiled(&program, 1024, 7)?;
 /// assert_eq!(counts.total(), 1024);
@@ -149,7 +168,9 @@ pub struct CompiledDensityProgram {
 
 impl CompiledDensityProgram {
     /// Lowers `circuit` with `noise` into density kernel ops and evolves
-    /// the measurement-free prefix.
+    /// the measurement-free prefix, on `threads` workers once
+    /// [`DENSITY_PARALLEL_QUBITS`] qubits are live. The prefix is
+    /// bit-identical at every thread count.
     ///
     /// # Errors
     ///
@@ -159,6 +180,7 @@ impl CompiledDensityProgram {
     pub fn compile(
         circuit: &Circuit,
         noise: &NoiseModel,
+        threads: usize,
     ) -> Result<CompiledDensityProgram, SimError> {
         noise.validate()?;
         let n = circuit.num_qubits();
@@ -223,31 +245,11 @@ impl CompiledDensityProgram {
             .position(|op| matches!(op, DensityOp::Measure { .. } | DensityOp::Reset { .. }))
             .unwrap_or(ops.len());
 
-        // Evolve vec(|0…0⟩⟨0…0|) through the prefix once. Density evolution
-        // is deterministic, so every later execution can start here.
-        let dd = 1usize << (2 * n);
-        let mut prefix = vec![C64::zero(); dd];
-        prefix[0] = C64::one();
-        let mut scratch = PairScratch::default();
-        let mut acc = Vec::new();
-        for op in &ops[..prefix_len] {
-            match op {
-                DensityOp::Conjugate { pair, .. } => pair.apply(&mut prefix, &mut scratch),
-                DensityOp::Channel { site, .. } => {
-                    // Compile-time prefix evolution stays single-threaded:
-                    // it runs once per program, and lowering has no thread
-                    // configuration (results are identical either way).
-                    apply_channel(&mut prefix, site, &mut acc, 1);
-                }
-                DensityOp::Measure { .. } | DensityOp::Reset { .. } => unreachable!(),
-            }
-        }
-
         Ok(CompiledDensityProgram {
             num_qubits: n,
             num_clbits: circuit.num_clbits(),
             ops,
-            prefix,
+            prefix: evolve_prefix(circuit, &gate_noise, threads),
             prefix_len,
             readout_p01: noise.readout_p01,
             readout_p10: noise.readout_p10,
@@ -326,6 +328,112 @@ impl CompiledDensityProgram {
 
     pub(crate) fn readout_p10(&self) -> f64 {
         self.readout_p10
+    }
+}
+
+/// Register width (in qubits) from which the density engine hands work to
+/// the caller's threads: the prefix evolution's kernel sweeps and channel
+/// passes once this many qubits are live, and the branch walk's
+/// measurements on a register this wide. Below it the split costs more
+/// than it saves. On a 2-vCPU x86-64 host, compiling and running a
+/// measured GHZ-n under melbourne noise with the split from 8 qubits took
+/// 2–9% longer on two threads than on one at n = 8 and 9; from 10, two
+/// threads took compile 58 → 50 ms and run 144 → 118 ms at n = 10, and
+/// 306 → 222 ms and 716 → 457 ms at n = 11.
+pub(crate) const DENSITY_PARALLEL_QUBITS: usize = 10;
+
+/// Evolves `vec(|0…0⟩⟨0…0|)` through `circuit`'s leading measurement-free
+/// run, the ops of [`CompiledDensityProgram::compile`] up to its first
+/// measure or reset, over the live register (see the module docs). Density
+/// evolution is deterministic, so every later execution starts here.
+///
+/// The evolving state and the channel accumulator are reserved at the full
+/// `4ⁿ` entries up front, so widening never reallocates, and at most two
+/// full-size buffers are ever touched.
+fn evolve_prefix(
+    circuit: &Circuit,
+    gate_noise: &GateNoise<Arc<[MonomialTerm]>>,
+    threads: usize,
+) -> Vec<C64> {
+    let n = circuit.num_qubits();
+    let mut rho = Vec::with_capacity(1 << (2 * n));
+    rho.push(C64::one());
+    let mut acc = Vec::with_capacity(1 << (2 * n));
+    let mut scratch = PairScratch::default();
+    // Bit `q` is set once a gate has touched qubit `q`; the live register
+    // holds those qubits in index order, so the stored prefix's layout is
+    // the full register's.
+    let mut live = 0usize;
+    for inst in circuit.instructions() {
+        let gate = match &inst.operation {
+            Operation::Gate(g) => g,
+            Operation::Barrier => continue,
+            Operation::Measure | Operation::Reset => break,
+        };
+        let touched = inst.qubits.iter().fold(live, |m, &q| m | 1 << q);
+        widen(&mut rho, live, touched);
+        live = touched;
+        let m = live.count_ones() as usize;
+        let at =
+            |qubits: &[usize]| -> Vec<usize> { qubits.iter().map(|&q| rank(live, q)).collect() };
+        let threads = if m >= DENSITY_PARALLEL_QUBITS {
+            threads
+        } else {
+            1
+        };
+        ConjugationPair::for_gate(gate, &at(&inst.qubits), m).apply_threaded(
+            &mut rho,
+            &mut scratch,
+            threads,
+        );
+        gate_noise.after_gate(&inst.qubits, |terms, qubits| {
+            let site = ChannelSite::new(Arc::clone(terms), &at(qubits), m);
+            apply_channel(&mut rho, &site, &mut acc, threads);
+        });
+    }
+    widen(&mut rho, live, (1 << n) - 1);
+    rho
+}
+
+/// The position of qubit `q` among the qubits of `mask` (bit `q` stands
+/// for qubit `q`), in index order.
+fn rank(mask: usize, q: usize) -> usize {
+    (mask & ((1 << q) - 1)).count_ones() as usize
+}
+
+/// Inserts the qubits of `to` missing from `from` (bit `q` stands for
+/// qubit `q`) into `rho`, a `vec(ρ)` over the live register `from`, as
+/// `|0⟩⟨0|` factors: each entry moves to the index with the new qubits'
+/// row and column bits clear, and every other entry is zero.
+fn widen(rho: &mut Vec<C64>, from: usize, to: usize) {
+    if from == to {
+        return;
+    }
+    let (m, m2) = (from.count_ones() as usize, to.count_ones() as usize);
+    // The live qubit at position `j` (ascending index) owns column bit
+    // `m − 1 − j`; `spread[x]` deposits an `m`-bit row or column index into
+    // the wider register's bits.
+    let moves: Vec<(usize, usize)> = (0..usize::BITS as usize)
+        .filter(|&q| from >> q & 1 == 1)
+        .map(|q| (m - 1 - rank(from, q), m2 - 1 - rank(to, q)))
+        .collect();
+    let spread: Vec<usize> = (0..1usize << m)
+        .map(|x| {
+            moves
+                .iter()
+                .filter(|&&(bit, _)| x >> bit & 1 == 1)
+                .fold(0, |y, &(_, wide)| y | 1 << wide)
+        })
+        .collect();
+    let (d, d2) = (1usize << m, 1usize << m2);
+    rho.resize(d2 * d2, C64::zero());
+    // Every entry moves to an index at least as high, so a descending walk
+    // never overwrites an entry it has yet to move.
+    for r in (0..d).rev() {
+        for c in (0..d).rev() {
+            let v = std::mem::replace(&mut rho[r * d + c], C64::zero());
+            rho[spread[r] * d2 + spread[c]] = v;
+        }
     }
 }
 
@@ -466,8 +574,9 @@ const BLOCK_ENTRIES: usize = 1 << 10;
 /// (zeroed block by block, then swapped in), terms in operator order —
 /// matching the interpreter's `acc = 0 + K₀ρK₀† + K₁ρK₁† + …` fold
 /// bit-for-bit up to the sign of zero. At `2^`[`PARALLEL_THRESHOLD_QUBITS`]
-/// entries and above, `threads` workers each own a contiguous block of
-/// output rows; every entry's arithmetic is the same at any thread count.
+/// entries and above, `threads` workers (the calling thread and
+/// `threads − 1` spawned ones) each own a contiguous block of output rows;
+/// every entry's arithmetic is the same at any thread count.
 pub(crate) fn apply_channel(
     vec_rho: &mut Vec<C64>,
     site: &ChannelSite,
@@ -483,10 +592,13 @@ pub(crate) fn apply_channel(
         site.accumulate_rows(rho, n, 0, acc);
     } else {
         let rows = d.div_ceil(threads.min(d));
+        let mut blocks = acc.chunks_mut(rows * d);
+        let first = blocks.next().expect("vec(ρ) is never empty");
         std::thread::scope(|s| {
-            for (t, block) in acc.chunks_mut(rows * d).enumerate() {
-                s.spawn(move || site.accumulate_rows(rho, n, t * rows, block));
+            for (t, block) in blocks.enumerate() {
+                s.spawn(move || site.accumulate_rows(rho, n, (t + 1) * rows, block));
             }
+            site.accumulate_rows(rho, n, 0, first);
         });
     }
     std::mem::swap(vec_rho, acc);
@@ -504,7 +616,7 @@ mod tests {
         let mut c = Circuit::new(2);
         c.h(0).cx(0, 1);
         c.measure_all();
-        let p = CompiledDensityProgram::compile(&c, &NoiseModel::ideal()).unwrap();
+        let p = CompiledDensityProgram::compile(&c, &NoiseModel::ideal(), 1).unwrap();
         assert_eq!(p.op_count(), 4); // 2 gates + 2 measures, no channels
         assert_eq!(p.prefix_len(), 2);
         assert_eq!(p.dim(), 4);
@@ -519,7 +631,7 @@ mod tests {
         let mut c = Circuit::new(2);
         c.h(0).cx(0, 1);
         let noise = DevicePreset::melbourne_like();
-        let p = CompiledDensityProgram::compile(&c, &noise).unwrap();
+        let p = CompiledDensityProgram::compile(&c, &noise, 1).unwrap();
         // h: gate + depol1 + damp1 + deph; cx: gate + depol2 + 2×(damp2, deph).
         assert_eq!(p.op_count(), 4 + 6);
         let kinds: Vec<bool> = p
@@ -539,10 +651,33 @@ mod tests {
         assert!((tr - 1.0).abs() < 1e-12);
     }
 
+    /// Counts of one fixed noisy asserted-shape circuit, by hand: a Bell
+    /// pair copied onto two ancillas, which are measured and one reset.
+    /// Every count keeps its full-width meaning.
+    #[test]
+    fn asserted_shape_counts_are_pinned() {
+        let mut c = Circuit::with_clbits(4, 2);
+        c.h(0).cx(0, 1).cx(0, 2).cx(1, 3);
+        c.measure(2, 0).unwrap();
+        c.measure(3, 1).unwrap();
+        c.reset(2).unwrap();
+        let p = CompiledDensityProgram::compile(&c, &DevicePreset::melbourne_like(), 1).unwrap();
+        // h: the gate and 3 channels (4 + 2 + 2 terms); each cx: the gate
+        // and 5 channels (16 + 2 × (2 + 2) terms); 2 measures, 1 reset.
+        assert_eq!(p.op_count(), 4 + 3 * 6 + 3);
+        assert_eq!(p.prefix_len(), 4 + 3 * 6);
+        assert_eq!(p.kraus_terms(), 8 + 3 * 24);
+        assert_eq!(
+            p.class_histogram(),
+            vec![(KernelClass::Single, 1), (KernelClass::Permutation, 3 + 1)]
+        );
+        assert_eq!(p.prefix().len(), 1 << 8);
+    }
+
     #[test]
     fn width_and_clbit_limits_enforced() {
         assert!(matches!(
-            CompiledDensityProgram::compile(&Circuit::new(13), &NoiseModel::ideal()),
+            CompiledDensityProgram::compile(&Circuit::new(13), &NoiseModel::ideal(), 1),
             Err(SimError::TooManyQubits {
                 num_qubits: 13,
                 max: 12
@@ -552,7 +687,7 @@ mod tests {
         bad.depol_1q = 2.0;
         let mut c = Circuit::new(1);
         c.h(0);
-        assert!(CompiledDensityProgram::compile(&c, &bad).is_err());
+        assert!(CompiledDensityProgram::compile(&c, &bad, 1).is_err());
     }
 
     #[test]
@@ -561,7 +696,7 @@ mod tests {
         c.x(0).rz(0.3, 1);
         let mut noise = NoiseModel::ideal();
         noise.dephasing = 0.01; // 2 Kraus operators per 1q gate
-        let p = CompiledDensityProgram::compile(&c, &noise).unwrap();
+        let p = CompiledDensityProgram::compile(&c, &noise, 1).unwrap();
         let hist = p.class_histogram();
         // Gate conjugations only: Kraus operators are not kernels.
         assert_eq!(
@@ -718,6 +853,124 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// The prefix as a full-width evolution computes it: every prefix op,
+    /// as lowered in the op list, applied to a full `4ⁿ` `vec(ρ)`.
+    fn full_width_prefix(p: &CompiledDensityProgram) -> Vec<C64> {
+        let mut rho = vec![C64::zero(); p.dim() * p.dim()];
+        rho[0] = C64::one();
+        let (mut scratch, mut acc) = (PairScratch::default(), Vec::new());
+        for op in &p.ops()[..p.prefix_len()] {
+            match op {
+                DensityOp::Conjugate { pair, .. } => pair.apply(&mut rho, &mut scratch),
+                DensityOp::Channel { site, .. } => apply_channel(&mut rho, site, &mut acc, 1),
+                DensityOp::Measure { .. } | DensityOp::Reset { .. } => unreachable!(),
+            }
+        }
+        rho
+    }
+
+    /// Pushes a random gate from every kernel class on qubits drawn from
+    /// `active` (which needs two qubits for a two-qubit draw).
+    fn push_gate(c: &mut Circuit, rng: &mut StdRng, active: &[usize]) {
+        let q0 = active[rng.gen_range(0..active.len())];
+        let others: Vec<usize> = active.iter().copied().filter(|&q| q != q0).collect();
+        let Some(&q1) = others.get(rng.gen_range(0..others.len().max(1))) else {
+            c.ry(rng.gen_range(0.0..3.0), q0);
+            return;
+        };
+        match rng.gen_range(0..8u32) {
+            0 => c.h(q0),
+            1 => c.ry(rng.gen_range(0.0..3.0), q0),
+            2 => c.rz(rng.gen_range(0.0..3.0), q0),
+            3 => c.cz(q0, q1),
+            4 => c.x(q0),
+            5 => c.cx(q0, q1),
+            6 => c.swap(q0, q1),
+            _ => c.cu3(rng.gen_range(0.0..3.0), 0.4, 1.3, q0, q1),
+        };
+    }
+
+    /// Qubits a gate first touches late, out of index order, or never:
+    /// the live-register prefix equals the full-width evolution up to the
+    /// sign of zero under both noisy presets and without noise.
+    #[test]
+    fn live_register_prefix_matches_full_width_evolution() {
+        // GHZ-3 with an ancilla block touched last, as a SWAP assertion
+        // leaves it, measured and then reused.
+        let mut late = Circuit::with_clbits(6, 3);
+        late.h(0).cx(0, 1).cx(1, 2);
+        for q in 0..3 {
+            late.cx(q, q + 3);
+        }
+        late.h(0);
+        for q in 0..3 {
+            late.measure(q + 3, q).unwrap();
+        }
+        late.cx(0, 3);
+        // First touches in the order q3, q1, q4, q0, q2, one of them by a
+        // dense two-qubit gate on a reversed pair.
+        let mut shuffled = Circuit::new(5);
+        shuffled
+            .x(3)
+            .h(1)
+            .cx(3, 1)
+            .cz(4, 1)
+            .cu3(0.3, 0.2, 0.1, 4, 0);
+        shuffled.ry(0.7, 2).swap(2, 3).ch(0, 2);
+        // Qubits 1 and 3 never touched, and the first gate on the highest.
+        let mut idle = Circuit::with_clbits(5, 5);
+        idle.h(4).cx(4, 0).rz(0.4, 2).cx(2, 0).ry(1.1, 4);
+        idle.measure_all();
+        let mut circuits = vec![late, shuffled, idle];
+        let mut rng = StdRng::seed_from_u64(0x6c69_7665);
+        for _ in 0..6 {
+            let n = rng.gen_range(3..=6);
+            let active: Vec<usize> = (0..n).filter(|_| rng.gen_bool(0.6)).collect();
+            let mut c = Circuit::new(n);
+            if !active.is_empty() {
+                for _ in 0..rng.gen_range(1..10) {
+                    push_gate(&mut c, &mut rng, &active);
+                }
+            }
+            circuits.push(c);
+        }
+        for (i, c) in circuits.iter().enumerate() {
+            for preset in DevicePreset::ALL {
+                let p = CompiledDensityProgram::compile(c, &preset.noise_model(), 1).unwrap();
+                assert_eq!(
+                    bits(p.prefix()),
+                    bits(&full_width_prefix(&p)),
+                    "circuit {i} under {preset}"
+                );
+            }
+        }
+    }
+
+    /// The threaded prefix is the one-thread prefix bit for bit, signed
+    /// zeros included: the last gates run on a live register wide enough
+    /// to split.
+    #[test]
+    fn prefix_is_bit_identical_at_every_thread_count() {
+        let n = DENSITY_PARALLEL_QUBITS;
+        let mut c = Circuit::new(n);
+        for q in 0..n {
+            c.h(q);
+        }
+        c.cx(0, n - 1).ry(0.3, 3).cx(5, 2);
+        let raw = |threads| -> Vec<(u64, u64)> {
+            let p = CompiledDensityProgram::compile(&c, &DevicePreset::melbourne_like(), threads)
+                .unwrap();
+            p.prefix()
+                .iter()
+                .map(|z| (z.re.to_bits(), z.im.to_bits()))
+                .collect()
+        };
+        let one = raw(1);
+        for threads in [2, 4] {
+            assert!(raw(threads) == one, "threads = {threads}");
         }
     }
 

@@ -66,6 +66,18 @@ fn melbourne() -> DensityMatrixSimulator {
     DensityMatrixSimulator::with_noise(DevicePreset::melbourne_like())
 }
 
+/// The two noisy presets, under which the prefix evolves over the live
+/// register with channels on every gate.
+fn noisy_sims() -> [(DensityMatrixSimulator, &'static str); 2] {
+    [
+        (
+            DensityMatrixSimulator::with_noise(DevicePreset::LowNoise.noise_model()),
+            "low",
+        ),
+        (melbourne(), "melbourne"),
+    ]
+}
+
 #[test]
 fn noisy_bell_is_bit_identical() {
     let mut c = Circuit::new(2);
@@ -304,4 +316,151 @@ fn thread_matrix_density_mid_circuit_is_bit_identical() {
         let counts = melbourne().with_threads(threads).run(&c, 256, 88).unwrap();
         assert_eq!(base, counts, "threads = {threads}");
     }
+}
+
+/// A register wide enough (10 qubits) that the prefix's passes and the
+/// terminal measurements' coalesce split over threads: the distribution
+/// and counts repeat the one-thread run bit for bit. The last measurement
+/// writes the highest clbit again, so branches far apart in key order
+/// share output keys there and the coalesce must stay on one thread.
+#[test]
+fn thread_matrix_density_wide_terminal_is_bit_identical() {
+    let n = 10;
+    let mut c = Circuit::with_clbits(n, n - 1);
+    c.h(0);
+    for q in 0..n - 1 {
+        c.cx(q, q + 1);
+    }
+    for q in 0..n - 1 {
+        c.measure(q, q).unwrap();
+    }
+    c.measure(n - 1, n - 2).unwrap();
+    let sim = |threads| {
+        DensityMatrixSimulator::with_noise(DevicePreset::LowNoise.noise_model())
+            .with_threads(threads)
+    };
+    let program = sim(1).compile(&c).unwrap();
+    let base_dist = sim(1).outcome_distribution_compiled(&program).unwrap();
+    let base = sim(1).run_compiled(&program, 1024, 91).unwrap();
+    for threads in [2, 4] {
+        let program = sim(threads).compile(&c).unwrap();
+        let dist = sim(threads)
+            .outcome_distribution_compiled(&program)
+            .unwrap();
+        assert_eq!(
+            base_dist, dist,
+            "threads = {threads}: distribution diverged"
+        );
+        let counts = sim(threads).run_compiled(&program, 1024, 91).unwrap();
+        assert_eq!(base, counts, "threads = {threads}: counts diverged");
+    }
+}
+
+/// An ancilla block first touched at the end, the shape of the paper's
+/// SWAP design: GHZ-3 on qubits 0–2, each copied onto a fresh ancilla,
+/// the ancillas measured.
+#[test]
+fn late_ancilla_block_is_bit_identical() {
+    let mut c = Circuit::with_clbits(6, 3);
+    c.h(0).cx(0, 1).cx(1, 2);
+    for q in 0..3 {
+        c.cx(q, q + 3);
+    }
+    c.h(1);
+    for q in 0..3 {
+        c.measure(q + 3, q).unwrap();
+    }
+    for (sim, name) in noisy_sims() {
+        assert_identical(&sim, &c, 2048, 41, &format!("late ancillas/{name}"));
+    }
+}
+
+/// First touches out of index order (q3, then q1, then q4 and q0 through
+/// a dense gate on a reversed pair, q2 last).
+#[test]
+fn out_of_order_first_touches_are_bit_identical() {
+    let mut c = Circuit::with_clbits(5, 5);
+    c.x(3).h(1).cx(3, 1).cu3(0.3, 0.2, 0.1, 4, 0).cz(0, 1);
+    c.ry(0.7, 2).swap(2, 3);
+    c.measure_all();
+    for (sim, name) in noisy_sims() {
+        assert_identical(&sim, &c, 2048, 43, &format!("out of order/{name}"));
+    }
+}
+
+/// A qubit no gate touches, measured like the rest.
+#[test]
+fn never_touched_qubit_is_bit_identical() {
+    let mut c = Circuit::with_clbits(4, 4);
+    c.h(3).cx(3, 0).ry(0.9, 1).cx(0, 1);
+    c.measure_all();
+    for (sim, name) in noisy_sims() {
+        assert_identical(&sim, &c, 2048, 47, &format!("idle qubit 2/{name}"));
+    }
+}
+
+/// Random circuits whose gates touch only a random subset of the
+/// register, with a measurement that ends the prefix and gates after it.
+#[test]
+fn random_circuits_with_idle_qubits_are_bit_identical() {
+    let mut rng = StdRng::seed_from_u64(4242);
+    for trial in 0..6 {
+        let n = rng.gen_range(3..6);
+        let active: Vec<usize> = (0..n).filter(|_| rng.gen_bool(0.6)).collect();
+        let active = if active.len() < 2 {
+            vec![0, n - 1]
+        } else {
+            active
+        };
+        // `push_random_gate` draws from the whole register: remap its
+        // qubits onto the active ones.
+        let mut drawn = Circuit::new(active.len());
+        for _ in 0..rng.gen_range(2..8) {
+            push_random_gate(&mut drawn, &mut rng, active.len());
+        }
+        let mut c = Circuit::with_clbits(n, 2);
+        for inst in drawn.instructions() {
+            let qubits: Vec<usize> = inst.qubits.iter().map(|&q| active[q]).collect();
+            if let qra_circuit::Operation::Gate(g) = &inst.operation {
+                c.append(g.clone(), &qubits).unwrap();
+            }
+        }
+        c.measure(active[0], 0).unwrap();
+        c.h(active[1]);
+        c.measure(active[1], 1).unwrap();
+        let seed = rng.gen_range(0..1_000_000);
+        for (sim, name) in noisy_sims() {
+            assert_identical(
+                &sim,
+                &c,
+                512,
+                seed,
+                &format!("trial {trial} {active:?}/{name}"),
+            );
+        }
+    }
+}
+
+/// A terminal-measured program's branch walk borrows the stored prefix:
+/// running one compiled program twice gives the same counts, and its
+/// evolved state is unchanged bit for bit.
+#[test]
+fn compiled_program_runs_twice_identically() {
+    let mut c = Circuit::with_clbits(4, 2);
+    c.h(0).cx(0, 1).cx(0, 2).cx(1, 3);
+    c.measure(2, 0).unwrap();
+    c.measure(3, 1).unwrap();
+    let sim = melbourne();
+    let program = sim.compile(&c).unwrap();
+    let bits = |rho: qra_math::CMatrix| -> Vec<(u64, u64)> {
+        rho.as_slice()
+            .iter()
+            .map(|z| (z.re.to_bits(), z.im.to_bits()))
+            .collect()
+    };
+    let before = bits(sim.evolve_compiled(&program).unwrap());
+    let first = sim.run_compiled(&program, 2048, 53).unwrap();
+    assert_eq!(first, sim.run_compiled(&program, 2048, 53).unwrap());
+    assert_eq!(first, sim.run_interpreted(&c, 2048, 53).unwrap());
+    assert_eq!(before, bits(sim.evolve_compiled(&program).unwrap()));
 }
